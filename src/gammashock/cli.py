@@ -17,6 +17,7 @@ from .config import ExperimentConfig, default_config, load_config, state_sampler
 from .core import Topology, as_levels
 from .optimize import (
     Dataset,
+    NumericsError,
     dataset_from_csv,
     dataset_to_csv,
     generate_dataset,
@@ -475,7 +476,7 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args)
         return args.func(cfg, args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, NumericsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -267,7 +267,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         simulate=_take(doc.get("simulate", {}), SimulateConfig)
         if doc.get("simulate")
         else base.simulate,
-        seed=int(doc.get("seed", 0)),
+        seed=int(doc.get("seed", base.seed)),
     )
 
 

@@ -9,8 +9,10 @@ length tau, starting from the currently observed degradation levels u:
 
 Each component pays its replacement cost when it itself fails, so the
 replacement term uses per-component reliability; the downtime term uses
-the system reliability under the configured topology.  The integral is
-evaluated with a fixed 32-node Gauss-Legendre rule over [0, tau].
+the system reliability under the configured topology.  cost_rate
+integrates with a 32-node Gauss-Legendre rule over [0, tau]; the solver's
+scan sums 2-node panels between its grid points instead, which the tests
+hold within 1e-6 relative of cost_rate.
 """
 from __future__ import annotations
 
@@ -19,7 +21,8 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -37,14 +40,6 @@ from .reliability import (
 COST_INTEGRAL_NODES = 32
 DEFAULT_BOUNDS = (0.1, 50.0)
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-# Cheap quadrature for the ranking pass of the solver scan.  Grid points
-# whose cheap value lands within a relative window of the cheap minimum
-# get re-evaluated exactly; the window is ~15x the cheap rule's observed
-# worst error, so the exact argmin cannot hide outside it.
-_SCAN_DAMAGE_NODES = 16
-_SCAN_INTEGRAL_NODES = 16
-_SCAN_REL_WINDOW = 5e-3
 
 _STREAM_DATASET = 101
 _STREAM_SPLIT = 102
@@ -83,28 +78,38 @@ def _check_pairing(s: SystemModel, costs: CostParams):
         )
 
 
+def _downtime(s, starts, ends, levels, q, nodes: int) -> np.ndarray:
+    """int (1 - R_sys) dt over each [starts[k], ends[k]], Gauss-Legendre with `nodes` nodes."""
+    xi, w = _leggauss(nodes)
+    half = 0.5 * (ends - starts)
+    tmat = starts[:, None] + half[:, None] * (xi[None, :] + 1.0)
+    rsys = system_reliability(s, tmat.ravel(), levels, q).reshape(tmat.shape)
+    return half * ((1.0 - rsys) @ w)
+
+
+def _cost_rate_from(s, costs, taus, levels, q, downtime) -> np.ndarray:
+    """CR over taus given the downtime integrals int_0^tau (1 - R_sys) dt."""
+    _check_pairing(s, costs)
+    repl = np.zeros_like(taus)
+    for c, ui, cri in zip(s.components, levels, costs.replacement_costs):
+        repl += cri * (1.0 - component_reliability(c, s.shock_rate, taus, ui, q))
+    return (costs.inspection_cost + repl + costs.downtime_rate * downtime) / taus
+
+
 def cost_rate_batch(
     s: SystemModel,
     costs: CostParams,
     taus,
     u=None,
     q: QuadratureSpec = DEFAULT_QUADRATURE,
-    integral_nodes: int = COST_INTEGRAL_NODES,
 ) -> np.ndarray:
     """Vector of CR(tau; u) over an array of candidate intervals."""
-    _check_pairing(s, costs)
     levels = as_levels(u, s.n)
     grid, _ = _as_time_grid(taus)
     if np.any(grid <= 0):
         raise ValueError("tau must be > 0")
-    xi, w = _leggauss(integral_nodes)
-    tmat = 0.5 * grid[:, None] * (xi[None, :] + 1.0)
-    rsys = system_reliability(s, tmat.ravel(), levels, q).reshape(tmat.shape)
-    downtime = 0.5 * grid * ((1.0 - rsys) @ w)
-    repl = np.zeros_like(grid)
-    for c, ui, cri in zip(s.components, levels, costs.replacement_costs):
-        repl += cri * (1.0 - component_reliability(c, s.shock_rate, grid, ui, q))
-    return (costs.inspection_cost + repl + costs.downtime_rate * downtime) / grid
+    downtime = _downtime(s, np.zeros_like(grid), grid, levels, q, COST_INTEGRAL_NODES)
+    return _cost_rate_from(s, costs, grid, levels, q, downtime)
 
 
 def cost_rate(
@@ -118,6 +123,13 @@ def cost_rate(
     if not tau > 0:
         raise ValueError("tau must be > 0")
     return float(cost_rate_batch(s, costs, np.asarray([tau], dtype=float), u, q)[0])
+
+
+def _scan(s, costs, edges, levels, q, start: float = 0.0):
+    """Downtime integrals and CR at edges[1:]; the integrals start from
+    `start` at edges[0] and add one 2-node panel per step."""
+    cum = start + np.cumsum(_downtime(s, edges[:-1], edges[1:], levels, q, 2))
+    return cum, _cost_rate_from(s, costs, edges[1:], levels, q, cum)
 
 
 @dataclass(frozen=True)
@@ -140,13 +152,12 @@ def optimal_inspection_time(
 ) -> TauSolution:
     """Minimize the cost rate over tau in [bounds[0], bounds[1]].
 
-    A log-spaced coarse scan brackets the global-over-grid minimum and
-    golden-section refines the bracket to width tol.  The scan ranks the
-    grid with a cheap quadrature first, then near-tie candidates are
-    re-evaluated at full precision, so the reported minimum (and the
-    bracket handed to golden-section) always reflects the exact
-    objective.  Results at either search bound are flagged as boundary
-    solutions.
+    One pass prices a log-spaced grid, summing the downtime integral over
+    panels between neighbouring grid points.  Golden-section refines the
+    argmin's bracket to width tol, each step adding one short panel to the
+    sum at the bracket's left grid point.  The refined tau and the best
+    grid point are priced with cost_rate and the cheaper one is reported;
+    results at either search bound are flagged as boundary solutions.
     """
     lo, hi = float(bounds[0]), float(bounds[1])
     if not (0 < lo < hi):
@@ -155,24 +166,16 @@ def optimal_inspection_time(
         raise ValueError("tol must be > 0")
     if grid_points < 3:
         raise ValueError("grid_points must be >= 3")
+    levels = as_levels(u, s.n)
     grid = np.geomspace(lo, hi, grid_points)
-    q_scan = replace(q, node_count=min(q.node_count, _SCAN_DAMAGE_NODES))
-    nodes_scan = min(COST_INTEGRAL_NODES, _SCAN_INTEGRAL_NODES)
-    ranking = cost_rate_batch(s, costs, grid, u, q_scan, nodes_scan)
-    bad = ~np.isfinite(ranking)
+    cum, scan = _scan(s, costs, np.concatenate(([0.0], grid)), levels, q)
+    bad = ~np.isfinite(scan)
     if np.any(bad):
         raise NumericsError(f"non-finite cost rate at tau={grid[bad][0]:.6g}")
-    cand = np.flatnonzero(ranking <= ranking.min() + _SCAN_REL_WINDOW * abs(ranking.min()))
-    exact = cost_rate_batch(s, costs, grid[cand], u, q)
-    bad = ~np.isfinite(exact)
-    if np.any(bad):
-        raise NumericsError(f"non-finite cost rate at tau={grid[cand][bad][0]:.6g}")
-    i = int(cand[np.argmin(exact)])
-    value_i = float(exact.min())
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, grid_points - 1)]
-
-    f = lambda tau: cost_rate(s, costs, tau, u, q)
+    i = int(np.argmin(scan))
+    k = max(i - 1, 0)
+    a, b = grid[k], grid[min(i + 1, grid_points - 1)]
+    f = lambda tau: float(_scan(s, costs, np.asarray([grid[k], tau]), levels, q, cum[k])[1][0])
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
@@ -186,37 +189,31 @@ def optimal_inspection_time(
             d = a + _INV_PHI * (b - a)
             fd = f(d)
     tau_star = 0.5 * (a + b)
-    cr_star = f(tau_star)
-    if value_i < cr_star:  # keep the scanned point if refinement did not help
-        tau_star, cr_star = float(grid[i]), value_i
+    cr_star = cost_rate(s, costs, tau_star, levels, q)
+    cr_grid = cost_rate(s, costs, float(grid[i]), levels, q)
+    if cr_grid < cr_star:  # keep the scanned point if refinement did not help
+        tau_star, cr_star = float(grid[i]), cr_grid
     boundary = tau_star <= lo + tol or tau_star >= hi - tol
     return TauSolution(float(tau_star), float(cr_star), bool(boundary))
 
 
+@lru_cache(maxsize=64)
 def system_fingerprint(s: SystemModel, costs: CostParams | None = None) -> str:
-    """Stable short hash of the model (and optionally cost) parameters."""
+    """Stable short hash of the model (and optionally cost) parameters.
+
+    Parameters are hashed as floats, so arguments that compare equal (the
+    cache's key) always share a fingerprint.
+    """
     payload = {
         "topology": s.topology.value,
-        "shock_rate": s.shock_rate,
-        "components": [
-            [
-                c.soft_threshold,
-                c.hard_threshold,
-                c.gamma_shape_rate,
-                c.gamma_rate,
-                c.shock_magnitude_mean,
-                c.shock_magnitude_sd,
-                c.shock_damage_mean,
-                c.shock_damage_sd,
-            ]
-            for c in s.components
-        ],
+        "shock_rate": float(s.shock_rate),
+        "components": [[float(v) for v in astuple(c)] for c in s.components],
     }
     if costs is not None:
         payload["costs"] = [
-            costs.inspection_cost,
+            float(costs.inspection_cost),
             list(costs.replacement_costs),
-            costs.downtime_rate,
+            float(costs.downtime_rate),
         ]
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]

@@ -267,6 +267,12 @@ class TestConfigRejections:
         cfg = write_config(tmp_path, dataset__train_fraction=1.5)
         assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    def test_infinite_downtime_rate(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, costs__downtime_rate=float("inf"))
+        assert "Infinity" in cfg.read_text()
+        assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "non-finite cost rate" in capsys.readouterr().err
+
     def test_corrupt_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{]")

@@ -52,6 +52,14 @@ def test_file_round_trip(tmp_path):
     assert load_config(path) == cfg
 
 
+def test_missing_seed_takes_the_default(tmp_path):
+    doc = config_to_dict(default_config())
+    del doc["seed"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert load_config(path).seed == default_config().seed == 42
+
+
 def test_schema_version_gate():
     doc = config_to_dict(default_config())
     doc["schema_version"] = 99

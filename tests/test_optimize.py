@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from gammashock.core import SystemModel, Topology
-from gammashock.reliability import QuadratureSpec
+from gammashock.reliability import DEFAULT_QUADRATURE, truncation_level
 from gammashock.optimize import (
     DEFAULT_BOUNDS,
     CostParams,
     NumericsError,
     Scenario,
     Dataset,
+    _scan,
     cost_rate,
     cost_rate_batch,
     dataset_from_csv,
@@ -93,10 +94,6 @@ class TestCostRate:
         taus = np.geomspace(*DEFAULT_BOUNDS, 2000)
         vals = cost_rate_batch(system, costs, taus)
         assert np.all(np.isfinite(vals))
-        # finer sweep at reduced quadrature cost, same finiteness claim
-        taus = np.geomspace(*DEFAULT_BOUNDS, 10_000)
-        vals = cost_rate_batch(system, costs, taus, None, QuadratureSpec(node_count=8), 8)
-        assert np.all(np.isfinite(vals))
 
     def test_worn_state_costs_more(self, system, costs, half_levels):
         assert cost_rate(system, costs, 5.0, half_levels) > cost_rate(system, costs, 5.0)
@@ -107,10 +104,20 @@ class TestSolver:
         sol = optimal_inspection_time(system, costs)
         grid = np.geomspace(*DEFAULT_BOUNDS, 200)
         vals = cost_rate_batch(system, costs, grid)
+        edges = np.concatenate(([0.0], grid))
+        _, scan = _scan(system, costs, edges, np.zeros(system.n), DEFAULT_QUADRATURE)
+        assert np.max(np.abs(scan / vals - 1.0)) <= 1e-6
         assert sol.cost_rate_star <= vals.min() + 1e-12
         assert abs(cost_rate(system, costs, sol.tau_star) - sol.cost_rate_star) <= 1e-9
         assert not sol.boundary
         assert DEFAULT_BOUNDS[0] < sol.tau_star < DEFAULT_BOUNDS[1]
+
+    @pytest.mark.parametrize("u", [[0.0, 0.0, 0.0], [4.0, 6.0, 7.0]], ids=["fresh", "worn"])
+    def test_refined_interval_is_a_local_minimum(self, system, costs, u):
+        sol = optimal_inspection_time(system, costs, u)
+        assert not sol.boundary
+        for step in (-1e-3, 1e-3):  # ten times the default tol
+            assert cost_rate(system, costs, sol.tau_star + step, u) > sol.cost_rate_star
 
     def test_worn_state_runs_to_the_ceiling(self, system, costs, half_levels):
         # heavy wear makes frequent inspection pointless: replacements
@@ -140,6 +147,27 @@ class TestSolver:
         a = optimal_inspection_time(twin, costs, [2.0, 5.0, 1.0])
         b = optimal_inspection_time(twin, costs, [5.0, 2.0, 1.0])
         assert a == b
+
+    @pytest.mark.parametrize("fraction", [0.1, 0.6], ids=["light", "heavy"])
+    def test_parallel_system_under_frequent_shocks(self, system, costs, fraction):
+        # the shock-parallel setting, where the shock-count series runs to M=25
+        par = replace(system, topology=Topology.PARALLEL, shock_rate=0.1)
+        assert truncation_level(par.shock_rate, DEFAULT_BOUNDS[1], 1e-10) == 25
+        u = fraction * np.asarray([c.soft_threshold for c in par.components])
+
+        def batch(taus):  # chunked to bound memory at this truncation level
+            return np.concatenate(
+                [cost_rate_batch(par, costs, taus[k:k + 50], u) for k in range(0, taus.size, 50)]
+            )
+
+        grid = np.geomspace(*DEFAULT_BOUNDS, 200)
+        on_grid = batch(grid)
+        _, scan = _scan(par, costs, np.concatenate(([0.0], grid)), u, DEFAULT_QUADRATURE)
+        assert np.max(np.abs(scan / on_grid - 1.0)) <= 1e-6
+        sol = optimal_inspection_time(par, costs, u)
+        best = min(on_grid.min(), batch(np.sqrt(grid[1:] * grid[:-1])).min())
+        assert sol.cost_rate_star <= best * (1.0 + 1e-6)
+        assert sol.boundary == (fraction > 0.5)
 
     def test_nonfinite_objective_raises(self, system):
         bad = CostParams(float("inf"), (200.0, 200.0, 200.0), 10.0)
@@ -331,3 +359,17 @@ class TestFingerprint:
             system, components=(system.components[1], system.components[0], system.components[2])
         )
         assert system_fingerprint(swapped, costs) != system_fingerprint(system, costs)
+
+    def test_equal_arguments_share_a_fingerprint(self, system, costs):
+        # the cache keys on equality, so an int and an equal float must
+        # hash the same whichever of them reaches the cache first
+        cheap = CostParams(1, costs.replacement_costs, costs.downtime_rate)
+        pairs = [
+            ((replace(system, shock_rate=0), costs), (replace(system, shock_rate=0.0), costs)),
+            ((system, cheap), (system, replace(cheap, inspection_cost=1.0))),
+        ]
+        for a, b in pairs:
+            system_fingerprint.cache_clear()
+            fp_a = system_fingerprint(*a)
+            system_fingerprint.cache_clear()
+            assert system_fingerprint(*b) == fp_a

@@ -429,6 +429,17 @@ class TestPredictNextInspection:
         with pytest.raises(ValueError):
             predict_next_inspection(model, other, None)
 
+    def test_cached_fingerprint_still_tells_systems_apart(self, system):
+        ds = labeled_dataset(system)
+        model, _ = train(init_model((3, 4, 1), seed=2), ds, system, epochs=5)
+        first = predict_next_inspection(model, system, None)
+        c = system.components[0]
+        other = replace(system, components=(replace(c, gamma_rate=c.gamma_rate * 1.01),)
+                        + system.components[1:])
+        with pytest.raises(ValueError):
+            predict_next_inspection(model, other, None)
+        assert predict_next_inspection(model, system, None) == first
+
     def test_unstamped_model_predicts_raw(self, system):
         m = init_model((3, 4, 1), seed=2)
         for w in m.weights:
