@@ -195,12 +195,9 @@ def cmd_split(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
-def _check_dataset_matches(cfg: ExperimentConfig, ds: Dataset) -> None:
-    expect = system_fingerprint(cfg.system, cfg.costs)
-    if ds.fingerprint and ds.fingerprint != expect:
-        raise ValueError(
-            "dataset fingerprint does not match this config's system and costs"
-        )
+def _check_fingerprint(cfg: ExperimentConfig, fingerprint: str, what: str) -> None:
+    if fingerprint and fingerprint != system_fingerprint(cfg.system, cfg.costs):
+        raise ValueError(f"{what} fingerprint does not match this config's system and costs")
 
 
 def _train(cfg: ExperimentConfig, ds: Dataset):
@@ -233,7 +230,7 @@ def _write_model_outputs(out: Path, model: MlpModel, history) -> tuple[Path, Pat
 def cmd_train(cfg: ExperimentConfig, args) -> int:
     path = Path(args.dataset) if args.dataset else _out_dir(args) / "dataset.csv"
     ds = dataset_from_csv(path)
-    _check_dataset_matches(cfg, ds)
+    _check_fingerprint(cfg, ds.fingerprint, "dataset")
     model, history = _train(cfg, ds)
     model_path, hist_path = _write_model_outputs(_out_dir(args), model, history)
     print(
@@ -297,7 +294,7 @@ def cmd_evaluate(cfg: ExperimentConfig, args) -> int:
     ds_path = Path(args.dataset) if args.dataset else out / "dataset.csv"
     model_path = Path(args.model) if args.model else out / "model.json"
     ds = dataset_from_csv(ds_path)
-    _check_dataset_matches(cfg, ds)
+    _check_fingerprint(cfg, ds.fingerprint, "dataset")
     model = load_model(model_path)
     if model.dataset_fingerprint and model.dataset_fingerprint != ds.fingerprint:
         raise ValueError("model was trained on a different dataset")
@@ -339,6 +336,7 @@ def _make_policy(cfg: ExperimentConfig, args, out: Path):
     if kind == "surrogate":
         model_path = Path(args.model) if args.model else out / "model.json"
         model = load_model(model_path)
+        _check_fingerprint(cfg, model.dataset_fingerprint, "model")
         return (lambda u: predict_next_inspection(model, cfg.system, u)), "surrogate"
     cache: dict = {}
 

@@ -8,7 +8,9 @@ system used throughout the docs and tests.  Print it with:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from enum import Enum
+from typing import get_args, get_origin, get_type_hints
 
 from .core import ComponentParams, SystemModel, Topology
 from .optimize import CostParams, two_regime_state_sampler, uniform_state_sampler
@@ -27,11 +29,11 @@ class SolverConfig:
 
     def __post_init__(self):
         if not 0 < self.tau_min < self.tau_max:
-            raise ValueError("solver bounds must satisfy 0 < tau_min < tau_max")
+            raise ValueError("bounds must satisfy 0 < tau_min < tau_max")
         if not self.tol > 0:
-            raise ValueError("solver tol must be > 0")
-        if self.grid_points < 3:
-            raise ValueError("solver grid_points must be >= 3")
+            raise ValueError("tol must be > 0")
+        if not self.grid_points >= 3:
+            raise ValueError("grid_points must be >= 3")
 
     @property
     def bounds(self) -> tuple[float, float]:
@@ -48,10 +50,8 @@ class DatasetConfig:
     heavy_range: tuple[float, float] = (0.4, 0.8)  # two_regime: heavy-wear box
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "heavy_range", tuple(float(v) for v in self.heavy_range)
-        )
-        if self.n_scenarios < 1:
+        object.__setattr__(self, "heavy_range", tuple(float(v) for v in self.heavy_range))
+        if not self.n_scenarios >= 1:
             raise ValueError("n_scenarios must be >= 1")
         if not 0 < self.train_fraction < 1:
             raise ValueError("train_fraction must be in (0, 1)")
@@ -78,11 +78,11 @@ class SurrogateConfig:
         object.__setattr__(self, "hidden_sizes", tuple(int(v) for v in self.hidden_sizes))
         object.__setattr__(self, "mode", TrainMode(self.mode))
         object.__setattr__(self, "feature_mode", FeatureMode(self.feature_mode))
-        if any(h < 1 for h in self.hidden_sizes):
-            raise ValueError("hidden layer sizes must be >= 1")
+        if not all(h >= 1 for h in self.hidden_sizes):
+            raise ValueError("hidden_sizes must all be >= 1")
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be > 0")
-        if self.epochs < 1:
+        if not self.epochs >= 1:
             raise ValueError("epochs must be >= 1")
 
 
@@ -95,9 +95,9 @@ class SimulateConfig:
     def __post_init__(self):
         if not self.horizon > 0:
             raise ValueError("horizon must be > 0")
-        if self.replications < 1:
+        if not self.replications >= 1:
             raise ValueError("replications must be >= 1")
-        if self.subgrid_steps < 1:
+        if not self.subgrid_steps >= 1:
             raise ValueError("subgrid_steps must be >= 1")
 
 
@@ -113,12 +113,12 @@ class ExperimentConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if len(self.costs.replacement_costs) != self.system.n:
+        n_costs = len(self.costs.replacement_costs)
+        if n_costs != self.system.n:
             raise ValueError(
-                f"{len(self.costs.replacement_costs)} replacement costs "
-                f"for {self.system.n} components"
+                f"{n_costs} costs.replacement_costs for {self.system.n} system.components"
             )
-        if self.seed < 0:
+        if not self.seed >= 0:
             raise ValueError("seed must be >= 0")
 
 
@@ -169,106 +169,78 @@ def state_sampler(dataset: DatasetConfig, system: SystemModel):
     """The scenario state sampler a DatasetConfig describes."""
     if dataset.sampler == "uniform":
         return uniform_state_sampler(system, dataset.u_fraction)
-    return two_regime_state_sampler(
-        system, dataset.light_fraction, dataset.heavy_range
-    )
+    return two_regime_state_sampler(system, dataset.light_fraction, dataset.heavy_range)
+
+
+def _join(path: str, key) -> str:
+    if isinstance(key, int):
+        return f"{path}[{key}]"
+    return f"{path}.{key}" if path else key
+
+
+_SCALARS = {float: ((int, float), "a number"), int: (int, "an integer"), str: (str, "a string")}
+
+
+def _load(tp, value, path: str):
+    """Build a `tp` from its JSON form; every error names `path`."""
+    where = path or "config"
+    if is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ValueError(f"{where}: expected an object")
+        for key in value:
+            if key not in tp.__dataclass_fields__:
+                raise ValueError(f"{_join(path, key)}: unknown key")
+        hints = get_type_hints(tp)
+        kwargs = {}
+        for f in fields(tp):
+            if f.name in value:
+                kwargs[f.name] = _load(hints[f.name], value[f.name], _join(path, f.name))
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise ValueError(f"{_join(path, f.name)}: missing required field")
+        try:
+            return tp(**kwargs)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+    if get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise ValueError(f"{where}: expected a list")
+        args = get_args(tp)
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ValueError(f"{where}: expected {len(args)} items, got {len(value)}")
+        return tuple(_load(t, v, _join(path, i)) for i, (t, v) in enumerate(zip(args, value)))
+    if issubclass(tp, Enum):
+        values = [m.value for m in tp]
+        if value not in values:
+            raise ValueError(f"{where}: expected one of {values}")
+        return tp(value)
+    ok, what = _SCALARS[tp]
+    if isinstance(value, bool) or not isinstance(value, ok):
+        raise ValueError(f"{where}: expected {what}")
+    return float(value) if tp is float else value
+
+
+def _dump(value):
+    if is_dataclass(value):
+        return {f.name: _dump(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_dump(v) for v in value]
+    return value.value if isinstance(value, Enum) else value
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "seed": cfg.seed,
-        "system": {
-            "topology": cfg.system.topology.value,
-            "shock_rate": cfg.system.shock_rate,
-            "components": [
-                {
-                    "soft_threshold": c.soft_threshold,
-                    "hard_threshold": c.hard_threshold,
-                    "gamma_shape_rate": c.gamma_shape_rate,
-                    "gamma_rate": c.gamma_rate,
-                    "shock_magnitude_mean": c.shock_magnitude_mean,
-                    "shock_magnitude_sd": c.shock_magnitude_sd,
-                    "shock_damage_mean": c.shock_damage_mean,
-                    "shock_damage_sd": c.shock_damage_sd,
-                }
-                for c in cfg.system.components
-            ],
-        },
-        "costs": {
-            "inspection_cost": cfg.costs.inspection_cost,
-            "replacement_costs": list(cfg.costs.replacement_costs),
-            "downtime_rate": cfg.costs.downtime_rate,
-        },
-        "quadrature": {
-            "node_count": cfg.quadrature.node_count,
-            "tail_epsilon": cfg.quadrature.tail_epsilon,
-            "domain_sigmas": cfg.quadrature.domain_sigmas,
-        },
-        "solver": {
-            "tau_min": cfg.solver.tau_min,
-            "tau_max": cfg.solver.tau_max,
-            "tol": cfg.solver.tol,
-            "grid_points": cfg.solver.grid_points,
-        },
-        "dataset": {
-            "n_scenarios": cfg.dataset.n_scenarios,
-            "train_fraction": cfg.dataset.train_fraction,
-            "sampler": cfg.dataset.sampler,
-            "u_fraction": cfg.dataset.u_fraction,
-            "light_fraction": cfg.dataset.light_fraction,
-            "heavy_range": list(cfg.dataset.heavy_range),
-        },
-        "surrogate": {
-            "hidden_sizes": list(cfg.surrogate.hidden_sizes),
-            "learning_rate": cfg.surrogate.learning_rate,
-            "epochs": cfg.surrogate.epochs,
-            "mode": cfg.surrogate.mode.value,
-            "feature_mode": cfg.surrogate.feature_mode.value,
-        },
-        "simulate": {
-            "horizon": cfg.simulate.horizon,
-            "replications": cfg.simulate.replications,
-            "subgrid_steps": cfg.simulate.subgrid_steps,
-        },
-    }
-
-
-def _take(d: dict, cls, **extra):
-    return cls(**{**d, **extra})
+    return {"schema_version": SCHEMA_VERSION, **_dump(cfg)}
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
+    if not isinstance(doc, dict):
+        raise ValueError("config: expected an object")
     version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported config schema_version {version!r}; expected {SCHEMA_VERSION}"
-        )
-    sysdoc = doc["system"]
-    system = SystemModel(
-        components=tuple(ComponentParams(**c) for c in sysdoc["components"]),
-        topology=Topology(sysdoc.get("topology", "series")),
-        shock_rate=float(sysdoc.get("shock_rate", 0.0)),
-    )
-    costs_doc = dict(doc["costs"])
-    costs_doc["replacement_costs"] = tuple(costs_doc["replacement_costs"])
-    base = default_config()
-    return ExperimentConfig(
-        system=system,
-        costs=CostParams(**costs_doc),
-        quadrature=_take(doc.get("quadrature", {}), QuadratureSpec)
-        if doc.get("quadrature")
-        else base.quadrature,
-        solver=_take(doc.get("solver", {}), SolverConfig) if doc.get("solver") else base.solver,
-        dataset=_take(doc.get("dataset", {}), DatasetConfig) if doc.get("dataset") else base.dataset,
-        surrogate=_take(doc.get("surrogate", {}), SurrogateConfig)
-        if doc.get("surrogate")
-        else base.surrogate,
-        simulate=_take(doc.get("simulate", {}), SimulateConfig)
-        if doc.get("simulate")
-        else base.simulate,
-        seed=int(doc.get("seed", base.seed)),
-    )
+    if not (type(version) is int and version == SCHEMA_VERSION):
+        raise ValueError(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
+    body = {k: v for k, v in doc.items() if k != "schema_version"}
+    return _load(ExperimentConfig, body, "")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -282,10 +254,6 @@ def load_config(path) -> ExperimentConfig:
 
 def dump_config(cfg: ExperimentConfig) -> str:
     return json.dumps(config_to_dict(cfg), indent=2) + "\n"
-
-
-def with_seed(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
-    return replace(cfg, seed=seed)
 
 
 if __name__ == "__main__":

@@ -59,16 +59,15 @@ class ComponentParams:
     shock_damage_sd: float
 
     def __post_init__(self):
-        if not self.soft_threshold > 0:
-            raise ValueError("soft_threshold must be > 0")
-        if not self.hard_threshold > 0:
-            raise ValueError("hard_threshold must be > 0")
-        if not self.gamma_shape_rate > 0:
-            raise ValueError("gamma_shape_rate must be > 0")
-        if not self.gamma_rate > 0:
-            raise ValueError("gamma_rate must be > 0")
-        if self.shock_magnitude_sd < 0 or self.shock_damage_sd < 0:
-            raise ValueError("shock standard deviations must be >= 0")
+        for name in ("soft_threshold", "hard_threshold", "gamma_shape_rate", "gamma_rate"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
+        for name in ("shock_magnitude_sd", "shock_damage_sd"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
+        for name in ("shock_magnitude_mean", "shock_damage_mean"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -81,8 +80,8 @@ class SystemModel:
 
     def __post_init__(self):
         if len(self.components) == 0:
-            raise ValueError("system needs at least one component")
-        if self.shock_rate < 0:
+            raise ValueError("components must not be empty")
+        if not self.shock_rate >= 0:
             raise ValueError("shock_rate must be >= 0")
         object.__setattr__(self, "components", tuple(self.components))
         object.__setattr__(self, "topology", Topology(self.topology))

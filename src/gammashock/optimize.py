@@ -63,11 +63,9 @@ class CostParams:
         )
         if not self.inspection_cost > 0:
             raise ValueError("inspection_cost must be > 0")
-        if len(self.replacement_costs) == 0 or any(
-            c <= 0 for c in self.replacement_costs
-        ):
+        if len(self.replacement_costs) == 0 or not all(c > 0 for c in self.replacement_costs):
             raise ValueError("replacement_costs must all be > 0")
-        if self.downtime_rate < 0:
+        if not self.downtime_rate >= 0:
             raise ValueError("downtime_rate must be >= 0")
 
 
@@ -416,18 +414,18 @@ def dataset_from_csv(path) -> Dataset:
                 header = cells
                 continue
             rec = dict(zip(header, cells))
-            u = tuple(
-                float(rec[k]) for k in header if k.startswith("u_")
-            )
-            rows.append(
-                Scenario(
-                    scenario_id=int(rec["scenario_id"]),
-                    u=u,
-                    tau_star=float(rec["tau_star"]),
-                    cost_rate_star=float(rec["cost_rate_star"]),
-                    split=rec.get("split", ""),
+            try:
+                rows.append(
+                    Scenario(
+                        scenario_id=int(rec["scenario_id"]),
+                        u=tuple(float(rec[k]) for k in header if k.startswith("u_")),
+                        tau_star=float(rec["tau_star"]),
+                        cost_rate_star=float(rec["cost_rate_star"]),
+                        split=rec.get("split", ""),
+                    )
                 )
-            )
+            except KeyError as exc:
+                raise ValueError(f"{path}: missing column {exc}") from None
     if header is None:
         raise ValueError(f"{path}: empty dataset file")
     return Dataset(fingerprint, bounds, tuple(rows))

@@ -53,7 +53,7 @@ class QuadratureSpec:
     domain_sigmas: float = 8.0
 
     def __post_init__(self):
-        if self.node_count < 2:
+        if not self.node_count >= 2:
             raise ValueError("node_count must be >= 2")
         if not 0 < self.tail_epsilon < 1:
             raise ValueError("tail_epsilon must be in (0, 1)")

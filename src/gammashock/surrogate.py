@@ -395,23 +395,28 @@ def save_model(m: MlpModel, path) -> None:
 def load_model(path) -> MlpModel:
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(
             f"unsupported model format_version {version!r}; "
             f"this build reads version {MODEL_FORMAT_VERSION}"
         )
-    return MlpModel(
-        layer_sizes=tuple(doc["layer_sizes"]),
-        weights=[np.asarray(w, dtype=float) for w in doc["weights"]],
-        biases=[np.asarray(b, dtype=float) for b in doc["biases"]],
-        input_shift=np.asarray(doc["input_shift"], dtype=float),
-        input_scale=np.asarray(doc["input_scale"], dtype=float),
-        output_shift=float(doc["output_shift"]),
-        output_scale=float(doc["output_scale"]),
-        feature_mode=FeatureMode(doc["feature_mode"]),
-        clamp_bounds=tuple(doc["clamp_bounds"]) if doc.get("clamp_bounds") else None,
-        system_fingerprint=doc.get("system_fingerprint", ""),
-        dataset_fingerprint=doc.get("dataset_fingerprint", ""),
-        metadata=doc.get("metadata", {}),
-    )
+    try:
+        return MlpModel(
+            layer_sizes=tuple(doc["layer_sizes"]),
+            weights=[np.asarray(w, dtype=float) for w in doc["weights"]],
+            biases=[np.asarray(b, dtype=float) for b in doc["biases"]],
+            input_shift=np.asarray(doc["input_shift"], dtype=float),
+            input_scale=np.asarray(doc["input_scale"], dtype=float),
+            output_shift=float(doc["output_shift"]),
+            output_scale=float(doc["output_scale"]),
+            feature_mode=FeatureMode(doc["feature_mode"]),
+            clamp_bounds=tuple(doc["clamp_bounds"]) if doc.get("clamp_bounds") else None,
+            system_fingerprint=doc.get("system_fingerprint", ""),
+            dataset_fingerprint=doc.get("dataset_fingerprint", ""),
+            metadata=doc.get("metadata", {}),
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from None

@@ -15,7 +15,7 @@ from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 
 from gammashock.cli import main as cli_main
-from gammashock.config import dump_config, state_sampler, with_seed
+from gammashock.config import dump_config, state_sampler
 from gammashock.core import Topology, gamma_cdf
 from gammashock.optimize import (
     generate_dataset,
@@ -67,7 +67,7 @@ def pipeline_artifacts(cfg):
     attempts = []
     result = None
     for seed in FALLBACK_SEEDS:
-        c = with_seed(cfg, seed)
+        c = replace(cfg, seed=seed)
         ds = generate_dataset(
             c.system,
             c.costs,

@@ -12,6 +12,9 @@ from gammashock.optimize import cost_rate, dataset_from_csv, system_fingerprint
 from gammashock.surrogate import load_model
 
 
+DROP = object()  # marks a key to delete in a config edit
+
+
 def write_config(tmp_path, name="config.json", **edits):
     """Dump the default config with dotted-path overrides applied."""
     doc = config_to_dict(default_config())
@@ -170,6 +173,35 @@ class TestDataPipelineCommands:
         assert main(["evaluate", "--config", str(other), "--out", str(out)]) == 2
         assert "fingerprint" in capsys.readouterr().err
 
+    def test_malformed_model_exits_2_naming_the_file(self, trained_dir, tmp_path, capsys):
+        cfg_path, out = trained_dir
+        doc = json.loads((out / "model.json").read_text())
+        del doc["weights"]
+        bad = tmp_path / "model.json"
+        args = ["evaluate", "--config", str(cfg_path), "--model", str(bad), "--out", str(out)]
+        for text, names in ((json.dumps(doc), "'weights'"), ("[1]", "JSON object")):
+            bad.write_text(text)
+            assert main(args) == 2
+            err = capsys.readouterr().err
+            assert str(bad) in err and names in err
+
+    def test_dataset_without_a_target_column_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "dataset.csv"
+        bad.write_text("scenario_id,u_1,u_2,u_3,cost_rate_star,split\n0,1,2,3,20,train\n")
+        assert main(["train", "--dataset", str(bad), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "'tau_star'" in err
+
+    def test_simulate_refuses_a_model_trained_for_other_costs(
+        self, trained_dir, tmp_path, capsys
+    ):
+        cfg_path, out = trained_dir
+        args = ["simulate", "--policy", "surrogate", "--replications", "1", "--out", str(out)]
+        assert main(args + ["--config", str(cfg_path)]) == 0
+        other = write_config(tmp_path, costs__inspection_cost=500.0)
+        assert main(args + ["--config", str(other)]) == 2
+        assert "model fingerprint" in capsys.readouterr().err
+
     def test_train_needs_a_split(self, tmp_path, capsys):
         cfg = small_run_config(tmp_path, dataset__n_scenarios=3)
         out = tmp_path / "fresh"
@@ -272,6 +304,54 @@ class TestConfigRejections:
         assert "Infinity" in cfg.read_text()
         assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "non-finite cost rate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path, value, names",
+        [
+            (("solver", "bogus"), 1, "solver.bogus: unknown key"),
+            (("bogus",), 1, "bogus: unknown key"),
+            (("system",), DROP, "system: missing required field"),
+            (("solver", "tau_max"), "50", "solver.tau_max: expected a number"),
+            (
+                ("system", "components", 0, "gamma_rate"),
+                DROP,
+                "system.components[0].gamma_rate: missing required field",
+            ),
+            (("quadrature", "node_count"), 64.5, "quadrature.node_count: expected an integer"),
+            (("costs",), None, "costs: expected an object"),
+            ((), [1, 2], "config: expected an object"),
+            (("seed",), True, "seed: expected an integer"),
+            (("system", "shock_rate"), float("nan"), "system: shock_rate must be >= 0"),
+            (
+                ("system", "components", 1, "shock_damage_mean"),
+                float("nan"),
+                "system.components[1]: shock_damage_mean must be finite",
+            ),
+        ],
+        ids=[
+            "unknown-key", "unknown-top-level-key", "missing-system", "string-number",
+            "missing-component-field", "fractional-int", "null-section", "top-level-array",
+            "bool-seed", "nan-shock-rate", "nan-shock-mean",
+        ],
+    )
+    def test_bad_config_exits_2_naming_the_field(self, tmp_path, capsys, path, value, names):
+        doc = config_to_dict(default_config())
+        if path:
+            *head, last = path
+            node = doc
+            for key in head:
+                node = node[key]
+            if value is DROP:
+                del node[last]
+            else:
+                node[last] = value
+        else:
+            doc = value
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert names in err and "Traceback" not in err
 
     def test_corrupt_json(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -1,10 +1,13 @@
 """Config schema: defaults, JSON round trip, validation, sampler dispatch."""
+import copy
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gammashock.config import (
     DatasetConfig,
@@ -17,10 +20,10 @@ from gammashock.config import (
     dump_config,
     load_config,
     state_sampler,
-    with_seed,
 )
 from gammashock.core import ComponentParams, SystemModel
 from gammashock.optimize import CostParams
+from gammashock.reliability import QuadratureSpec
 
 
 def test_default_config_shape():
@@ -75,12 +78,6 @@ def test_invalid_json_is_a_value_error(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ValueError, match="broken.json"):
         load_config(path)
-
-
-def test_with_seed():
-    cfg = default_config()
-    assert with_seed(cfg, 7).seed == 7
-    assert with_seed(cfg, 7).system == cfg.system
 
 
 def test_solver_config_validation():
@@ -163,3 +160,132 @@ def test_module_prints_the_default_config():
     doc = json.loads(out.stdout)
     assert doc["schema_version"] == 1
     assert len(doc["system"]["components"]) == 3
+
+
+def test_dump_writes_every_field_as_json():
+    doc = config_to_dict(default_config())
+    assert doc["schema_version"] == 1 and doc["seed"] == 42
+    assert doc["system"]["topology"] == "series"
+    assert doc["costs"]["replacement_costs"] == [200.0, 200.0, 200.0]
+    assert doc["dataset"]["heavy_range"] == [0.4, 0.8]
+    assert doc["surrogate"]["mode"] == "per_sample_sgd"
+    assert len(doc["system"]["components"][0]) == 8
+
+
+def test_omitted_sections_and_fields_take_their_defaults():
+    doc = config_to_dict(default_config())
+    for key in ("quadrature", "solver", "dataset", "surrogate", "simulate", "seed"):
+        del doc[key]
+    del doc["system"]["topology"], doc["system"]["shock_rate"]
+    cfg = config_from_dict(doc)
+    assert cfg.solver == SolverConfig() and cfg.seed == 42
+    assert cfg.system.shock_rate == 0.0 and cfg.system.topology.value == "series"
+
+
+def test_ints_load_as_floats_but_not_the_reverse():
+    doc = config_to_dict(default_config())
+    doc["system"]["shock_rate"] = 0
+    doc["solver"]["tau_max"] = 40
+    cfg = config_from_dict(doc)
+    assert type(cfg.system.shock_rate) is float and type(cfg.solver.tau_max) is float
+    doc["solver"]["grid_points"] = 200.0
+    with pytest.raises(ValueError, match=r"^solver\.grid_points: expected an integer$"):
+        config_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda c: ComponentParams(**{**vars(c), "gamma_rate": float("nan")}),
+        lambda c: ComponentParams(**{**vars(c), "shock_magnitude_sd": float("nan")}),
+        lambda c: ComponentParams(**{**vars(c), "shock_magnitude_mean": float("nan")}),
+        lambda c: ComponentParams(**{**vars(c), "shock_damage_mean": float("nan")}),
+        lambda c: SystemModel(components=(c,), shock_rate=float("nan")),
+        lambda c: CostParams(float("nan"), (1.0,), 1.0),
+        lambda c: CostParams(1.0, (float("nan"),), 1.0),
+        lambda c: CostParams(1.0, (1.0,), float("nan")),
+        lambda c: QuadratureSpec(tail_epsilon=float("nan")),
+        lambda c: SolverConfig(tol=float("nan")),
+        lambda c: SimulateConfig(horizon=float("nan")),
+    ],
+)
+def test_nan_parameters_are_rejected(system, build):
+    with pytest.raises(ValueError):
+        build(system.components[0])
+
+
+def _nodes(node, path=()):
+    """Every (path, value) pair of a JSON document, depth first."""
+    yield path, node
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _nodes(child, path + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _nodes(child, path + (i,))
+
+
+def _dotted(path) -> str:
+    out = ""
+    for key in path:
+        if isinstance(key, int):
+            out = f"{out}[{key}]"
+        else:
+            out = f"{out}.{key}" if out else key
+    return out
+
+
+def _holds(full, part) -> bool:
+    """Whether document `full` holds every key and value of `part`, types included."""
+    if isinstance(part, dict):
+        return isinstance(full, dict) and all(
+            key in full and _holds(full[key], value) for key, value in part.items()
+        )
+    if isinstance(part, list):
+        return isinstance(full, list) and len(full) == len(part) and all(map(_holds, full, part))
+    return type(full) is type(part) and full == part
+
+
+DEFAULT_DOC = config_to_dict(default_config())
+DOC_PATHS = [path for path, _ in _nodes(DEFAULT_DOC) if path]
+MUTATIONS = ["drop", "typo", "string", "bool", "null", "nan", "list", "truncate"]
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(path=st.sampled_from(DOC_PATHS), kind=st.sampled_from(MUTATIONS))
+def test_every_mutant_loads_or_names_its_path(path, kind):
+    doc = copy.deepcopy(DEFAULT_DOC)
+    *head, last = path
+    parent = doc
+    for key in head:
+        parent = parent[key]
+    value = parent[last]
+    mutated = path
+    if kind == "drop":
+        del parent[last]
+        if isinstance(parent, list):
+            mutated = tuple(head)  # dropping an item shortens the list
+    elif kind == "typo":
+        assume(isinstance(parent, dict))
+        parent[last + "_typo"] = value
+        mutated = (*head, last + "_typo")
+    elif kind == "truncate":
+        assume(isinstance(value, list) and value)
+        parent[last] = value[:-1]
+    else:
+        parent[last] = {
+            "string": str(value), "bool": True, "null": None,
+            "nan": float("nan"), "list": [value],
+        }[kind]
+    try:
+        cfg = config_from_dict(doc)
+    except ValueError as exc:
+        # The message names the full path, or its section and field name.
+        msg = str(exc)
+        i = max(i for i, key in enumerate(mutated) if isinstance(key, str))
+        section, field = _dotted(mutated[:i]) or "config", mutated[i]
+        assert _dotted(mutated) in msg or (msg.startswith(section + ":") and field in msg), msg
+    else:
+        # A mutant that loads means what it says: its dump holds every value as written.
+        assert _holds(config_to_dict(cfg), doc)
+        assert config_from_dict(config_to_dict(cfg)) == cfg
