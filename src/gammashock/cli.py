@@ -5,7 +5,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 from dataclasses import replace
@@ -18,6 +17,7 @@ from .core import Topology, as_levels
 from .optimize import (
     Dataset,
     NumericsError,
+    atomic_open,
     dataset_from_csv,
     dataset_to_csv,
     generate_dataset,
@@ -45,19 +45,8 @@ def _fmt(x: float) -> str:
 
 
 def _write_atomic(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
-def _atomic_via(path: Path, write_fn) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    write_fn(tmp)
-    os.replace(tmp, path)
-
-
-def _write_dataset(ds: Dataset, path: Path) -> None:
-    _atomic_via(path, lambda p: dataset_to_csv(ds, p))
+    with atomic_open(path) as fh:
+        fh.write(text)
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -179,7 +168,7 @@ def _generate(cfg: ExperimentConfig) -> Dataset:
 def cmd_gen_data(cfg: ExperimentConfig, args) -> int:
     ds = _generate(cfg)
     path = _out_dir(args) / "dataset.csv"
-    _write_dataset(ds, path)
+    dataset_to_csv(ds, path)
     mean_ms = float(np.mean([sc.solve_ms for sc in ds.scenarios]))
     print(f"wrote {path} ({len(ds)} scenarios, mean solve {mean_ms:.1f} ms)")
     return 0
@@ -188,7 +177,7 @@ def cmd_gen_data(cfg: ExperimentConfig, args) -> int:
 def cmd_split(cfg: ExperimentConfig, args) -> int:
     path = Path(args.dataset) if args.dataset else _out_dir(args) / "dataset.csv"
     ds = split_dataset(dataset_from_csv(path), cfg.dataset.train_fraction, cfg.seed)
-    _write_dataset(ds, path)
+    dataset_to_csv(ds, path)
     print(
         f"wrote {path} ({len(ds.rows('train'))} train / {len(ds.rows('test'))} test)"
     )
@@ -218,7 +207,7 @@ def _train(cfg: ExperimentConfig, ds: Dataset):
 
 def _write_model_outputs(out: Path, model: MlpModel, history) -> tuple[Path, Path]:
     model_path = out / "model.json"
-    _atomic_via(model_path, lambda p: save_model(model, p))
+    save_model(model, model_path)
     hist_path = out / "loss_history.csv"
     lines = ["epoch,train_mse"] + [
         f"{i + 1},{_fmt(v)}" for i, v in enumerate(history)
@@ -310,7 +299,7 @@ def cmd_pipeline(cfg: ExperimentConfig, args) -> int:
     out = _out_dir(args)
     ds = split_dataset(_generate(cfg), cfg.dataset.train_fraction, cfg.seed)
     ds_path = out / "dataset.csv"
-    _write_dataset(ds, ds_path)
+    dataset_to_csv(ds, ds_path)
     model, history = _train(cfg, ds)
     _write_model_outputs(out, model, history)
     metrics, fig = _evaluate(cfg, ds, model)

@@ -218,7 +218,12 @@ def _load(tp, value, path: str):
     ok, what = _SCALARS[tp]
     if isinstance(value, bool) or not isinstance(value, ok):
         raise ValueError(f"{where}: expected {what}")
-    return float(value) if tp is float else value
+    if tp is not float:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{where}: integer beyond the float range") from None
 
 
 def _dump(value):

@@ -20,9 +20,12 @@ import csv
 import hashlib
 import json
 import math
+import os
 import time
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass, replace
 from functools import lru_cache
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -365,6 +368,24 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
+@contextmanager
+def atomic_open(path, newline=None):
+    """Write `path` through a sibling temporary file that replaces it on success.
+
+    A write that fails part-way removes the temporary file and leaves
+    the previous `path` as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def dataset_to_csv(d: Dataset, path) -> None:
     """Write the dataset artifact; per-row timing stays out on purpose.
 
@@ -373,7 +394,7 @@ def dataset_to_csv(d: Dataset, path) -> None:
     instead of the dataset file.
     """
     n = len(d.scenarios[0].u) if d.scenarios else 0
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         fh.write("# gammashock dataset v1\n")
         fh.write(f"# fingerprint={d.fingerprint}\n")
         fh.write(f"# bounds={_fmt(d.bounds[0])},{_fmt(d.bounds[1])}\n")

@@ -3,11 +3,12 @@
 A small sigmoid-hidden, linear-output network is trained on solved
 scenarios so that planning amounts to one forward pass instead of a
 full cost-rate minimization.  Everything here is written out
-explicitly: initialization, forward pass, backpropagation, and the two
-descent modes (per-sample stochastic and full-batch).
+explicitly: initialization, one forward pass and one backpropagation
+over a batch of rows (a prediction or a per-sample SGD step is a batch
+of one row, a full-batch GD step is every training row).
 
-Weights W[l] have shape (fan_out, fan_in), so a layer computes
-sigmoid(W @ a + b).  Features are standardized by the stored input
+Weights W[l] have shape (fan_out, fan_in), so a layer maps rows A to
+sigmoid(A @ W.T + b).  Features are standardized by the stored input
 scaler and targets by the output scaler; both are fit on the training
 split and serialized with the model.
 """
@@ -22,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .core import SystemModel, as_levels
-from .optimize import Dataset, system_fingerprint
+from .optimize import Dataset, atomic_open, system_fingerprint
 
 MODEL_FORMAT_VERSION = 1
 _DIVERGENCE_MSE = 1e12
@@ -35,8 +36,9 @@ class DivergenceError(RuntimeError):
 
 
 class FeatureMode(str, Enum):
+    """Network input layout; config and model files carry its value."""
+
     U_ONLY = "u_only"
-    U_PLUS_PARAMS = "u_plus_params"
 
 
 class TrainMode(str, Enum):
@@ -48,47 +50,25 @@ class TrainMode(str, Enum):
 class FeatureSpec:
     """Turns (system, state) into the network input vector.
 
-    U_ONLY uses the dimensionless levels u_i / H_i.  U_PLUS_PARAMS
-    appends every component's parameters and the shock rate, letting a
-    single model serve a family of systems with the same layout.
+    The features are the dimensionless levels u_i / H_i.  A model is
+    tied to one system by its fingerprint, so the system's parameters
+    would be constant columns and are not features.
     """
 
     mode: FeatureMode = FeatureMode.U_ONLY
 
     def feature_count(self, s: SystemModel) -> int:
-        return s.n if self.mode is FeatureMode.U_ONLY else s.n + 8 * s.n + 1
+        return s.n
 
     def build(self, s: SystemModel, u) -> np.ndarray:
         levels = as_levels(u, s.n)
-        scaled = levels / np.asarray([c.soft_threshold for c in s.components])
-        if self.mode is FeatureMode.U_ONLY:
-            return scaled
-        extra = []
-        for c in s.components:
-            extra.extend(
-                [
-                    c.soft_threshold,
-                    c.hard_threshold,
-                    c.gamma_shape_rate,
-                    c.gamma_rate,
-                    c.shock_magnitude_mean,
-                    c.shock_magnitude_sd,
-                    c.shock_damage_mean,
-                    c.shock_damage_sd,
-                ]
-            )
-        extra.append(s.shock_rate)
-        return np.concatenate([scaled, extra])
+        return levels / np.asarray([c.soft_threshold for c in s.components])
 
 
 def sigmoid(z):
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))  # never overflows, so no branch on the sign
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass
@@ -149,41 +129,31 @@ def init_model(
     )
 
 
-def _activations(m: MlpModel, x_scaled: np.ndarray) -> list[np.ndarray]:
-    acts = [x_scaled]
+def _activations(m: MlpModel, xs: np.ndarray) -> list[np.ndarray]:
+    """Layer outputs for scaled inputs xs (n, p); the last is (n, 1)."""
+    acts = [xs]
     for w, b in zip(m.weights[:-1], m.biases[:-1]):
-        acts.append(sigmoid(w @ acts[-1] + b))
-    acts.append(m.weights[-1] @ acts[-1] + m.biases[-1])  # linear output
+        acts.append(sigmoid(acts[-1] @ w.T + b))
+    acts.append(acts[-1] @ m.weights[-1].T + m.biases[-1])  # linear output
     return acts
 
 
-def _forward_scaled(m: MlpModel, x_scaled: np.ndarray) -> float:
-    return float(_activations(m, x_scaled)[-1][0])
-
-
-def _forward_scaled_batch(m: MlpModel, x_scaled: np.ndarray) -> np.ndarray:
-    a = x_scaled
-    for w, b in zip(m.weights[:-1], m.biases[:-1]):
-        a = sigmoid(a @ w.T + b)
-    return (a @ m.weights[-1].T + m.biases[-1])[:, 0]
+def _scaled(m: MlpModel, features) -> np.ndarray:
+    return (np.asarray(features, dtype=float) - m.input_shift) / m.input_scale
 
 
 def forward(m: MlpModel, features) -> float:
     """Network prediction in target units for one feature vector."""
     x = np.asarray(features, dtype=float)
     if x.shape != (m.layer_sizes[0],):
-        raise ValueError(
-            f"expected {m.layer_sizes[0]} features, got {x.shape}"
-        )
-    xs = (x - m.input_shift) / m.input_scale
-    return _forward_scaled(m, xs) * m.output_scale + m.output_shift
+        raise ValueError(f"expected {m.layer_sizes[0]} features, got {x.shape}")
+    return float(predict_batch(m, x[None])[0])
 
 
 def predict_batch(m: MlpModel, features: np.ndarray) -> np.ndarray:
     """Predictions in target units for a feature matrix (n, p)."""
-    x = np.asarray(features, dtype=float)
-    xs = (x - m.input_shift) / m.input_scale
-    return _forward_scaled_batch(m, xs) * m.output_scale + m.output_shift
+    out = _activations(m, _scaled(m, features))[-1][:, 0]
+    return out * m.output_scale + m.output_shift
 
 
 def mse(predictions, targets) -> float:
@@ -212,56 +182,32 @@ def _scale_target(m: MlpModel, target: float) -> float:
 
 def training_loss(m: MlpModel, features, target: float) -> float:
     """Single-sample squared error in the scaled output space."""
-    x = np.asarray(features, dtype=float)
-    xs = (x - m.input_shift) / m.input_scale
-    r = _scale_target(m, target) - _forward_scaled(m, xs)
-    return r * r
+    out = _activations(m, _scaled(m, features)[None])[-1][0, 0]
+    r = _scale_target(m, target) - out
+    return float(r * r)
 
 
-def _grads_scaled(m: MlpModel, xs: np.ndarray, t_scaled: float):
+def _gradients(m: MlpModel, xs: np.ndarray, ts: np.ndarray):
+    """Gradients of the mean squared error over scaled rows xs (n, p), ts (n,).
+
+    delta carries the mean's 2/n, so for n = 1 every sum below is exact.
+    """
     acts = _activations(m, xs)
-    delta = np.asarray([2.0 * (acts[-1][0] - t_scaled)])
-    grads_w = [np.empty(0)] * len(m.weights)
-    grads_b = [np.empty(0)] * len(m.biases)
-    grads_w[-1] = np.outer(delta, acts[-2])
-    grads_b[-1] = delta
-    err = m.weights[-1].T @ delta
-    for l in range(len(m.weights) - 2, -1, -1):
-        a = acts[l + 1]
-        local = err * a * (1.0 - a)
-        grads_w[l] = np.outer(local, acts[l])
-        grads_b[l] = local
-        err = m.weights[l].T @ local
-    return grads_w, grads_b
+    delta = (acts[-1] - ts[:, None]) * (2.0 / xs.shape[0])
+    grads_w, grads_b = [], []
+    for l in range(len(m.weights) - 1, -1, -1):
+        grads_w.append(delta.T @ acts[l])
+        grads_b.append(delta.sum(axis=0))
+        if l:
+            a = acts[l]
+            delta = (delta @ m.weights[l]) * a * (1.0 - a)
+    return grads_w[::-1], grads_b[::-1]
 
 
 def backprop_gradients(m: MlpModel, features, target: float):
     """Exact gradients of training_loss w.r.t. every weight and bias."""
-    x = np.asarray(features, dtype=float)
-    xs = (x - m.input_shift) / m.input_scale
-    return _grads_scaled(m, xs, _scale_target(m, float(target)))
-
-
-def _batch_grads_scaled(m: MlpModel, xs: np.ndarray, ts: np.ndarray):
-    """Gradients of the mean per-sample squared error over the batch."""
-    n = xs.shape[0]
-    acts = [xs]
-    for w, b in zip(m.weights[:-1], m.biases[:-1]):
-        acts.append(sigmoid(acts[-1] @ w.T + b))
-    out = acts[-1] @ m.weights[-1].T + m.biases[-1]
-    delta = 2.0 * (out - ts[:, None])
-    grads_w = [np.empty(0)] * len(m.weights)
-    grads_b = [np.empty(0)] * len(m.biases)
-    grads_w[-1] = delta.T @ acts[-1] / n
-    grads_b[-1] = delta.mean(axis=0)
-    err = delta @ m.weights[-1]
-    for l in range(len(m.weights) - 2, -1, -1):
-        a = acts[l + 1]
-        local = err * a * (1.0 - a)
-        grads_w[l] = local.T @ acts[l] / n
-        grads_b[l] = local.mean(axis=0)
-        err = local @ m.weights[l]
-    return grads_w, grads_b
+    t = np.asarray([_scale_target(m, float(target))])
+    return _gradients(m, _scaled(m, features)[None], t)
 
 
 def fit(
@@ -302,17 +248,14 @@ def fit(
     xs = (x - work.input_shift) / work.input_scale
     ys = (y - work.output_shift) / work.output_scale
     rng = np.random.default_rng((seed, _STREAM_SHUFFLE))
+    per_sample = mode is TrainMode.PER_SAMPLE_SGD
+    width = 1 if per_sample else y.size
     history: list[float] = []
     for epoch in range(epochs):
-        if mode is TrainMode.PER_SAMPLE_SGD:
-            for idx in rng.permutation(y.size):
-                gw, gb = _grads_scaled(work, xs[idx], ys[idx])
-                for w, g in zip(work.weights, gw):
-                    w -= eta * g
-                for b, g in zip(work.biases, gb):
-                    b -= eta * g
-        else:
-            gw, gb = _batch_grads_scaled(work, xs, ys)
+        # per-sample SGD steps on one row at a time in a seeded order,
+        # full-batch GD takes one step on all rows
+        for i in rng.permutation(y.size) if per_sample else (0,):
+            gw, gb = _gradients(work, xs[i:i + width], ys[i:i + width])
             for w, g in zip(work.weights, gw):
                 w -= eta * g
             for b, g in zip(work.biases, gb):
@@ -387,23 +330,25 @@ def save_model(m: MlpModel, path) -> None:
         "dataset_fingerprint": m.dataset_fingerprint,
         "metadata": m.metadata,
     }
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
 
 
 def load_model(path) -> MlpModel:
+    """Read a saved model; a malformed file is a ValueError naming it."""
     with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    version = doc.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported model format_version {version!r}; "
-            f"this build reads version {MODEL_FORMAT_VERSION}"
-        )
+        text = fh.read()
     try:
+        doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("expected a JSON object")
+        version = doc.get("format_version")
+        if version != MODEL_FORMAT_VERSION:
+            raise ValueError(
+                f"unsupported model format_version {version!r}; "
+                f"this build reads version {MODEL_FORMAT_VERSION}"
+            )
         return MlpModel(
             layer_sizes=tuple(doc["layer_sizes"]),
             weights=[np.asarray(w, dtype=float) for w in doc["weights"]],
@@ -420,3 +365,5 @@ def load_model(path) -> MlpModel:
         )
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -179,7 +179,14 @@ class TestDataPipelineCommands:
         del doc["weights"]
         bad = tmp_path / "model.json"
         args = ["evaluate", "--config", str(cfg_path), "--model", str(bad), "--out", str(out)]
-        for text, names in ((json.dumps(doc), "'weights'"), ("[1]", "JSON object")):
+        full = json.loads((out / "model.json").read_text())
+        cases = (
+            (json.dumps(doc), "'weights'"),
+            ("[1]", "JSON object"),
+            (json.dumps({**full, "feature_mode": "u_plus_params"}), "'u_plus_params'"),
+            (json.dumps({**full, "output_shift": None}), "NoneType"),
+        )
+        for text, names in cases:
             bad.write_text(text)
             assert main(args) == 2
             err = capsys.readouterr().err
@@ -327,11 +334,14 @@ class TestConfigRejections:
                 float("nan"),
                 "system.components[1]: shock_damage_mean must be finite",
             ),
+            (("solver", "tau_max"), 10**400, "solver.tau_max: integer beyond the float range"),
+            (("surrogate", "feature_mode"), "u_plus_params", "surrogate.feature_mode: expected"),
         ],
         ids=[
             "unknown-key", "unknown-top-level-key", "missing-system", "string-number",
             "missing-component-field", "fractional-int", "null-section", "top-level-array",
-            "bool-seed", "nan-shock-rate", "nan-shock-mean",
+            "bool-seed", "nan-shock-rate", "nan-shock-mean", "huge-int-float",
+            "removed-feature-mode",
         ],
     )
     def test_bad_config_exits_2_naming_the_field(self, tmp_path, capsys, path, value, names):

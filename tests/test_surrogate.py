@@ -54,31 +54,10 @@ def random_model(rng: np.random.Generator, layer_sizes) -> MlpModel:
 class TestFeatureSpec:
     def test_feature_count(self, system):
         assert FeatureSpec(FeatureMode.U_ONLY).feature_count(system) == 3
-        assert FeatureSpec(FeatureMode.U_PLUS_PARAMS).feature_count(system) == 3 + 24 + 1
 
     def test_levels_are_scaled_by_threshold(self, system):
         x = FeatureSpec(FeatureMode.U_ONLY).build(system, [10.0, 15.0, 7.0])
         assert np.allclose(x, [0.5, 0.5, 0.2])
-
-    def test_parameter_features_follow_the_levels(self, system):
-        x = FeatureSpec(FeatureMode.U_PLUS_PARAMS).build(system, None)
-        c0 = system.components[0]
-        assert x.shape == (28,)
-        assert np.array_equal(x[:3], [0.0, 0.0, 0.0])
-        assert np.array_equal(
-            x[3:11],
-            [
-                c0.soft_threshold,
-                c0.hard_threshold,
-                c0.gamma_shape_rate,
-                c0.gamma_rate,
-                c0.shock_magnitude_mean,
-                c0.shock_magnitude_sd,
-                c0.shock_damage_mean,
-                c0.shock_damage_sd,
-            ],
-        )
-        assert x[-1] == system.shock_rate
 
 
 class TestSigmoid:
@@ -97,6 +76,16 @@ class TestSigmoid:
         out = sigmoid(np.asarray([-800.0, 800.0]))
         assert np.all(np.isfinite(out))
         assert np.all((out >= 0.0) & (out <= 1.0))
+
+    def test_bit_equal_to_the_two_branch_formula(self):
+        rng = np.random.default_rng(16)
+        special = [-800.0, 800.0, 0.0, -0.0, np.inf, -np.inf, np.nan]
+        z = np.concatenate([special, rng.normal(0, 30, 1000), rng.uniform(-1, 1, 100)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            pos = 1.0 / (1.0 + np.exp(-z))
+            neg = np.exp(z) / (1.0 + np.exp(z))
+        ref = np.where(z >= 0, pos, neg)
+        assert np.array_equal(sigmoid(z), ref, equal_nan=True)
 
 
 class TestInitModel:
@@ -261,6 +250,19 @@ class TestGradients:
                     denom = max(abs(fd), abs(grad[idx]), 1e-8)
                     assert abs(fd - grad[idx]) / denom <= 1e-4
 
+    def test_full_batch_is_the_mean_of_the_per_row_gradients(self):
+        rng = np.random.default_rng(17)
+        m = random_model(rng, (3, 5, 4, 1))
+        x, y = rng.normal(0, 1, (6, 3)), rng.normal(0, 1, 6)
+        stepped, _ = fit(
+            m, x, y, eta=1.0, epochs=1, mode=TrainMode.FULL_BATCH_GD, fit_scalers=False
+        )
+        per_row = [gw + gb for gw, gb in (backprop_gradients(m, a, t) for a, t in zip(x, y))]
+        params = zip(m.weights + m.biases, stepped.weights + stepped.biases)
+        for k, (before, after) in enumerate(params):
+            mean = np.mean([g[k] for g in per_row], axis=0)
+            assert np.allclose(before - after, mean, rtol=0.0, atol=1e-12)
+
 
 class TestFit:
     def test_zero_learning_rate_is_a_no_op(self):
@@ -326,6 +328,20 @@ class TestFit:
             eta *= 0.5
         else:
             pytest.fail("no learning rate in the halving ladder descended monotonically")
+
+    def test_per_sample_epoch_is_sequential_single_row_steps(self):
+        rng = np.random.default_rng(18)
+        m = random_model(rng, (3, 5, 4, 1))
+        x, y = rng.normal(0, 1, (7, 3)), rng.normal(0, 1, 7)
+        eta, seed = 0.05, 19
+        trained, _ = fit(m, x, y, eta=eta, epochs=1, seed=seed, fit_scalers=False)
+        manual = copy.deepcopy(m)
+        for i in np.random.default_rng((seed, 202)).permutation(y.size):
+            gw, gb = backprop_gradients(manual, x[i], y[i])
+            for p, g in zip(manual.weights + manual.biases, gw + gb):
+                p -= eta * g
+        for a, b in zip(trained.weights + trained.biases, manual.weights + manual.biases):
+            assert np.array_equal(a, b)
 
     def test_per_sample_shuffle_is_seeded(self):
         rng = np.random.default_rng(11)
@@ -471,6 +487,23 @@ class TestPersistence:
         save_model(model, p1)
         save_model(model, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failed_save_leaves_the_previous_file(self, system, tmp_path, monkeypatch):
+        ds = labeled_dataset(system)
+        model, _ = train(init_model((3, 4, 1), seed=2), ds, system, epochs=5)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        before = path.read_bytes()
+
+        def broken_dump(doc, fh, **kw):
+            fh.write('{"format_version": 1,')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", broken_dump)
+        with pytest.raises(OSError):
+            save_model(model, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
     def test_version_gate(self, system, tmp_path):
         ds = labeled_dataset(system)
