@@ -25,7 +25,7 @@ from .optimize import (
     split_dataset,
     system_fingerprint,
 )
-from .reliability import component_reliability, system_reliability
+from .reliability import _reliability_grid
 from .simulate import RngSeed, simulate_plan
 from .surrogate import (
     FeatureSpec,
@@ -100,11 +100,7 @@ def cmd_reliability(cfg: ExperimentConfig, args) -> int:
         s = replace(s, topology=Topology(args.topology))
     grid = _parse_grid(args.t_grid)
     u = _parse_levels(args.u, s.n)
-    per_comp = [
-        component_reliability(c, s.shock_rate, grid, ui, cfg.quadrature)
-        for c, ui in zip(s.components, u)
-    ]
-    r_sys = system_reliability(s, grid, u, cfg.quadrature)
+    r_sys, per_comp = _reliability_grid(s, grid, u, cfg.quadrature, s.topology)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["t"] + [f"r_{i + 1}" for i in range(s.n)] + ["r_system"])

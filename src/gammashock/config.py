@@ -254,6 +254,8 @@ def load_config(path) -> ExperimentConfig:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+        except ValueError as exc:  # e.g. an integer beyond the digit limit
+            raise ValueError(f"{path}: {exc}") from exc
     return config_from_dict(doc)
 
 

@@ -9,10 +9,12 @@ length tau, starting from the currently observed degradation levels u:
 
 Each component pays its replacement cost when it itself fails, so the
 replacement term uses per-component reliability; the downtime term uses
-the system reliability under the configured topology.  cost_rate
-integrates with a 32-node Gauss-Legendre rule over [0, tau]; the solver's
-scan sums 2-node panels between its grid points instead, which the tests
-hold within 1e-6 relative of cost_rate.
+the system reliability under the configured topology.  Both come from
+one reliability grid per evaluation.  cost_rate integrates with a
+32-node Gauss-Legendre rule over [0, tau]; the solver's scan sums
+Simpson panels between its grid points instead, so R_sys at the grid
+points serves the downtime integral and R_i the replacement term, and
+the tests hold it within 1e-6 relative of cost_rate.
 """
 from __future__ import annotations
 
@@ -36,7 +38,8 @@ from .reliability import (
     QuadratureSpec,
     _as_time_grid,
     _leggauss,
-    component_reliability,
+    _reliability_grid,
+    component_reliability,  # unused here; perfbench/tracing.py wraps both by this path
     system_reliability,
 )
 
@@ -79,21 +82,11 @@ def _check_pairing(s: SystemModel, costs: CostParams):
         )
 
 
-def _downtime(s, starts, ends, levels, q, nodes: int) -> np.ndarray:
-    """int (1 - R_sys) dt over each [starts[k], ends[k]], Gauss-Legendre with `nodes` nodes."""
-    xi, w = _leggauss(nodes)
-    half = 0.5 * (ends - starts)
-    tmat = starts[:, None] + half[:, None] * (xi[None, :] + 1.0)
-    rsys = system_reliability(s, tmat.ravel(), levels, q).reshape(tmat.shape)
-    return half * ((1.0 - rsys) @ w)
-
-
-def _cost_rate_from(s, costs, taus, levels, q, downtime) -> np.ndarray:
-    """CR over taus given the downtime integrals int_0^tau (1 - R_sys) dt."""
-    _check_pairing(s, costs)
+def _cost_rate_from(costs, taus, comps, downtime) -> np.ndarray:
+    """CR over taus given each R_i at taus and int_0^tau (1 - R_sys) dt."""
     repl = np.zeros_like(taus)
-    for c, ui, cri in zip(s.components, levels, costs.replacement_costs):
-        repl += cri * (1.0 - component_reliability(c, s.shock_rate, taus, ui, q))
+    for cri, r in zip(costs.replacement_costs, comps):
+        repl += cri * (1.0 - r)
     return (costs.inspection_cost + repl + costs.downtime_rate * downtime) / taus
 
 
@@ -105,12 +98,17 @@ def cost_rate_batch(
     q: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> np.ndarray:
     """Vector of CR(tau; u) over an array of candidate intervals."""
+    _check_pairing(s, costs)
     levels = as_levels(u, s.n)
     grid, _ = _as_time_grid(taus)
     if np.any(grid <= 0):
         raise ValueError("tau must be > 0")
-    downtime = _downtime(s, np.zeros_like(grid), grid, levels, q, COST_INTEGRAL_NODES)
-    return _cost_rate_from(s, costs, grid, levels, q, downtime)
+    xi, w = _leggauss(COST_INTEGRAL_NODES)
+    half = 0.5 * grid
+    nodes = (half[:, None] * (xi[None, :] + 1.0)).ravel()
+    rsys, comps = _reliability_grid(s, np.concatenate((nodes, grid)), levels, q, s.topology)
+    downtime = half * ((1.0 - rsys[:nodes.size].reshape(grid.size, -1)) @ w)
+    return _cost_rate_from(costs, grid, comps[:, nodes.size:], downtime)
 
 
 def cost_rate(
@@ -126,11 +124,27 @@ def cost_rate(
     return float(cost_rate_batch(s, costs, np.asarray([tau], dtype=float), u, q)[0])
 
 
-def _scan(s, costs, edges, levels, q, start: float = 0.0):
-    """Downtime integrals and CR at edges[1:]; the integrals start from
-    `start` at edges[0] and add one 2-node panel per step."""
-    cum = start + np.cumsum(_downtime(s, edges[:-1], edges[1:], levels, q, 2))
-    return cum, _cost_rate_from(s, costs, edges[1:], levels, q, cum)
+def _panels(s, costs, edges, levels, q, start=0.0, lost0=None):
+    """(cum, cr, lost) at edges[1:]: the downtime integrals, summed from
+    `start` at edges[0] over one Simpson panel per step, the cost rates
+    and 1 - R_sys.  lost0 is 1 - R_sys at edges[0] when the caller has it.
+    """
+    _check_pairing(s, costs)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    ends = edges if lost0 is None else edges[1:]
+    rsys, comps = _reliability_grid(s, np.concatenate((mids, ends)), levels, q, s.topology)
+    lost = 1.0 - rsys[mids.size:]
+    if lost0 is None:
+        lost0, lost = lost[0], lost[1:]
+    left = np.concatenate(([lost0], lost[:-1]))
+    panels = np.diff(edges) / 6.0 * (left + 4.0 * (1.0 - rsys[:mids.size]) + lost)
+    cum = start + np.cumsum(panels)
+    return cum, _cost_rate_from(costs, edges[1:], comps[:, -lost.size:], cum), lost
+
+
+def _scan(s, costs, edges, levels, q):
+    """(cum, cr) of _panels over edges."""
+    return _panels(s, costs, edges, levels, q)[:2]
 
 
 @dataclass(frozen=True)
@@ -154,11 +168,13 @@ def optimal_inspection_time(
     """Minimize the cost rate over tau in [bounds[0], bounds[1]].
 
     One pass prices a log-spaced grid, summing the downtime integral over
-    panels between neighbouring grid points.  Golden-section refines the
-    argmin's bracket to width tol, each step adding one short panel to the
-    sum at the bracket's left grid point.  The refined tau and the best
-    grid point are priced with cost_rate and the cheaper one is reported;
-    results at either search bound are flagged as boundary solutions.
+    Simpson panels between neighbouring grid points.  Golden-section
+    refines the argmin's bracket to width tol, each step adding one short
+    panel to the sum at the bracket's left grid point, which needs the
+    reliabilities at two new times: the panel's midpoint and tau.  The
+    refined tau and the best grid point are priced with cost_rate and the
+    cheaper one is reported; results at either search bound are flagged as
+    boundary solutions.
     """
     lo, hi = float(bounds[0]), float(bounds[1])
     if not (0 < lo < hi):
@@ -169,14 +185,16 @@ def optimal_inspection_time(
         raise ValueError("grid_points must be >= 3")
     levels = as_levels(u, s.n)
     grid = np.geomspace(lo, hi, grid_points)
-    cum, scan = _scan(s, costs, np.concatenate(([0.0], grid)), levels, q)
+    cum, scan, lost = _panels(s, costs, np.concatenate(([0.0], grid)), levels, q)
     bad = ~np.isfinite(scan)
     if np.any(bad):
         raise NumericsError(f"non-finite cost rate at tau={grid[bad][0]:.6g}")
     i = int(np.argmin(scan))
     k = max(i - 1, 0)
     a, b = grid[k], grid[min(i + 1, grid_points - 1)]
-    f = lambda tau: float(_scan(s, costs, np.asarray([grid[k], tau]), levels, q, cum[k])[1][0])
+    f = lambda tau: float(
+        _panels(s, costs, np.asarray([grid[k], tau]), levels, q, cum[k], lost[k])[1][0]
+    )
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)

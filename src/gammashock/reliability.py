@@ -12,18 +12,23 @@ damage law over the window [0, H - u].  Series and parallel formulas
 apply the same conditioning with a single shared shock count, which is
 what couples the components.
 
-Internally the damage windows for every m are stacked so each
-component needs one vectorized gamma CDF evaluation per time grid, and
-the stacks are memoized per (component, level) pair; the repeated
-single-time calls made by the interval optimizer hit that cache.
+Each time t_j is truncated at its own level M_j, so a value does not
+depend on the other times in the call.  The damage windows for every m
+are stacked, and a component evaluates the gamma CDF on each time's
+prefix of that stack, in blocks of times sorted by level.  The stacks
+are memoized per (component, level, M) in a small bounded cache that
+the optimizer's repeated calls hit.  _reliability_grid builds each
+component's alive factors once and returns both the system's and every
+component's reliability from them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, pdtrc
 
 from .core import (
     ComponentParams,
@@ -36,7 +41,9 @@ from .core import (
 )
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
-_MAX_TRUNCATION = 100_000
+_MAX_TRUNCATION = 20_000  # shock counts; a grid holds that many rows per time and component
+_STACK_CACHE_SIZE = 64  # entries of a few to a few hundred KB each
+_BLOCK_COLUMNS = 32  # fewest time columns per gamma-CDF call, when there are that many
 
 
 @dataclass(frozen=True)
@@ -69,6 +76,13 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
+def _column_levels(mu: np.ndarray, tail_epsilon: float, top: int) -> np.ndarray:
+    """truncation_level for each Poisson mean in mu, given a level `top`
+    that meets the tail bound for every mean: the count of levels below
+    it whose tail P(N > m) is still at least tail_epsilon."""
+    return np.count_nonzero(pdtrc(np.arange(top)[:, None], mu) >= tail_epsilon, axis=0)
+
+
 def truncation_level(shock_rate: float, t: float, tail_epsilon: float) -> int:
     """Smallest M with P(N > M) < tail_epsilon for N ~ Poisson(shock_rate * t)."""
     if shock_rate < 0 or t < 0:
@@ -76,95 +90,98 @@ def truncation_level(shock_rate: float, t: float, tail_epsilon: float) -> int:
     if not 0 < tail_epsilon < 1:
         raise ValueError("tail_epsilon must be in (0, 1)")
     mu = shock_rate * t
-    if mu == 0:
-        return 0
-    # Cumulate pmf terms by recurrence until the remaining tail is small.
-    term = np.exp(-mu)
-    cum = term
-    m = 0
-    while 1.0 - cum >= tail_epsilon:
-        m += 1
-        if m > _MAX_TRUNCATION:
-            raise RuntimeError("Poisson truncation did not converge")
-        term *= mu / m
-        cum += term
-    return m
+    top = 1
+    while not pdtrc(top, mu) < tail_epsilon:
+        if top > _MAX_TRUNCATION:
+            raise ValueError(f"Poisson mean {mu:g} needs more than {_MAX_TRUNCATION} shock counts")
+        top *= 2
+    return int(_column_levels(np.asarray([mu]), tail_epsilon, top)[0])
 
 
-def _poisson_pmf_grid(shock_rate: float, t: np.ndarray, max_m: int) -> np.ndarray:
-    """pmf matrix of shape (max_m + 1, len(t)), log-space assembly."""
+def _poisson_pmf_grid(shock_rate: float, t: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """pmf matrix P[m, j] = P(N(t_j) = m) for m <= levels[j] and 0 beyond,
+    shape (levels.max() + 1, len(t)), assembled in log space."""
     mu = shock_rate * t
-    m = np.arange(max_m + 1, dtype=float)[:, None]
-    out = np.zeros((max_m + 1, t.size))
-    pos = mu > 0
-    if np.any(pos):
-        logmu = np.log(np.where(pos, mu, 1.0))
-        logp = m * logmu[None, :] - mu[None, :] - gammaln(m + 1.0)
-        out = np.where(pos[None, :], np.exp(logp), 0.0)
-    if np.any(~pos):
-        out[0, ~pos] = 1.0
-        out[1:, ~pos] = 0.0
-    return out
+    m = np.arange(levels.max(initial=0) + 1, dtype=float)[:, None]
+    logp = m * np.log(np.where(mu > 0, mu, 1.0)) - mu - gammaln(m + 1.0)
+    return np.where(m <= levels, np.exp(logp), 0.0)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=_STACK_CACHE_SIZE)
 def _damage_stack(c: ComponentParams, u: float, max_m: int, q: QuadratureSpec):
     """Stacked damage-convolution nodes for m = 0..max_m at level u.
 
-    Returns (ys, weighted_density, segment_bounds, at_zero) where the
-    m-th segment of ys holds that convolution's integration nodes (one
-    node carrying weight 1 for a point mass, none when the damage mass
-    lies beyond the remaining headroom) and at_zero[m] is the t = 0
-    survival, the plain window mass.
+    Returns (ys, weights, ends, at_zero).  The m-th segment of ys,
+    ending at ends[m], holds that convolution's integration nodes (one
+    node carrying weight 1 for a point mass).  weights[k, m] is node k's
+    weight in segment m and 0 outside it, so a prefix of ys and weights
+    serves every level up to max_m.  at_zero[m] is the t = 0 survival,
+    the plain window mass.  The stack stops before the first m whose
+    damage mass lies beyond the headroom H - u > 0 (the window only moves
+    further out as m grows), so S_m is 0 from there.
     """
     head = c.soft_threshold - u
-    nodes, weights = _leggauss(q.node_count)
+    nodes, gl_weights = _leggauss(q.node_count)
     ys: list[np.ndarray] = []
     wds: list[np.ndarray] = []
-    bounds = [0]
-    at_zero = np.zeros(max_m + 1)
     for m in range(max_m + 1):
         law = damage_sum_distribution(c, m)
         if law.degenerate:
-            if law.mean < head:
-                ys.append(np.asarray([law.mean]))
-                wds.append(np.asarray([1.0]))
-                at_zero[m] = 1.0
+            if not law.mean < head:
+                break
+            ys.append(np.asarray([law.mean]))
+            wds.append(np.ones(1))
         else:
             sd = np.sqrt(law.variance)
             lo = max(0.0, law.mean - q.domain_sigmas * sd)
             hi = min(head, law.mean + q.domain_sigmas * sd)
-            if hi > lo:
-                y = 0.5 * (hi - lo) * (nodes + 1.0) + lo
-                dens = np.exp(-0.5 * ((y - law.mean) / sd) ** 2) / (sd * _SQRT_2PI)
-                wd = 0.5 * (hi - lo) * weights * dens
-                ys.append(y)
-                wds.append(wd)
-                at_zero[m] = wd.sum()
-        bounds.append(sum(len(a) for a in ys))
-    ys_arr = np.concatenate(ys) if ys else np.empty(0)
-    wds_arr = np.concatenate(wds) if wds else np.empty(0)
-    return ys_arr, wds_arr, tuple(bounds), at_zero
+            if not hi > lo:
+                break
+            y = 0.5 * (hi - lo) * (nodes + 1.0) + lo
+            dens = np.exp(-0.5 * ((y - law.mean) / sd) ** 2) / (sd * _SQRT_2PI)
+            ys.append(y)
+            wds.append(0.5 * (hi - lo) * gl_weights * dens)
+    ends = list(accumulate(y.size for y in ys))
+    weights = np.zeros((ends[-1], len(ys)))
+    for m, (end, wd) in enumerate(zip(ends, wds)):
+        weights[end - wd.size:end, m] = wd
+    return np.concatenate(ys), weights, ends, weights.sum(axis=0)
+
+
+def _column_blocks(t: np.ndarray, levels: np.ndarray) -> list[tuple[np.ndarray, int]]:
+    """(columns, rows) blocks of the times t > 0, grouped in order of level
+    into blocks of at least _BLOCK_COLUMNS (fewer only when there are fewer
+    times), each cut where the level rises.  A block is evaluated for its
+    highest level, on `rows` = that level + 1 shock counts, so small blocks
+    save kernel elements and large ones save calls."""
+    alive = np.flatnonzero(t > 0)
+    order = alive[np.argsort(levels[alive], kind="stable")]
+    ranked = levels[order]
+    cuts = [0]
+    for k in np.flatnonzero(np.diff(ranked)) + 1:
+        if k - cuts[-1] >= _BLOCK_COLUMNS and ranked.size - k >= _BLOCK_COLUMNS:
+            cuts.append(k)
+    cuts.append(ranked.size)
+    return [(order[a:b], int(ranked[b - 1]) + 1) for a, b in zip(cuts, cuts[1:]) if b > a]
 
 
 def _soft_survival_grid(
-    c: ComponentParams, t: np.ndarray, u: float, max_m: int, q: QuadratureSpec
+    c: ComponentParams, t: np.ndarray, u: float, top: int, blocks, q: QuadratureSpec
 ) -> np.ndarray:
-    """Matrix S[m, j] = P(X(t_j) + damage_m + u < H), shape (max_m + 1, len(t))."""
-    if c.soft_threshold - u <= 0:
-        return np.zeros((max_m + 1, t.size))
-    ys, wds, bounds, at_zero = _damage_stack(c, u, max_m, q)
-    out = np.zeros((max_m + 1, t.size))
-    zero = t == 0
-    out[:, zero] = at_zero[:, None]
-    alive = ~zero
-    if np.any(alive) and ys.size:
-        shape = (c.gamma_shape_rate * t[alive])[:, None]
-        g = gamma_cdf((c.soft_threshold - u) - ys[None, :], shape, c.gamma_rate)
-        for m in range(max_m + 1):
-            s, e = bounds[m], bounds[m + 1]
-            if e > s:
-                out[m, alive] = g[:, s:e] @ wds[s:e]
+    """Matrix S[m, j] = P(X(t_j) + damage_m + u < H), shape (top + 1, len(t)),
+    for m below each block's rows; entries past them are left at 0."""
+    out = np.zeros((top + 1, t.size))
+    head = c.soft_threshold - u
+    if head <= 0:
+        return out
+    ys, weights, ends, at_zero = _damage_stack(c, u, top, q)
+    out[:at_zero.size, t == 0] = at_zero[:, None]
+    for cols, rows in blocks:
+        rows = min(rows, len(ends))
+        p = ends[rows - 1]
+        shape = (c.gamma_shape_rate * t[cols])[:, None]
+        g = gamma_cdf(head - ys[None, :p], shape, c.gamma_rate)
+        out[:rows, cols] = (g @ weights[:p, :rows]).T
     return np.clip(out, 0.0, 1.0)
 
 
@@ -179,15 +196,8 @@ def soft_survival_given_m(
     if m < 0:
         raise ValueError("m must be >= 0")
     grid = np.asarray([t], dtype=float)
-    return float(_soft_survival_grid(c, grid, u, m, q)[m, 0])
-
-
-def _alive_factor_grid(
-    c: ComponentParams, t: np.ndarray, u: float, max_m: int, q: QuadratureSpec
-) -> np.ndarray:
-    """Matrix A[m, j] = p_nh^m * S_m(t_j; u), shape (max_m + 1, len(t))."""
-    pnh = prob_no_hard_failure(c) ** np.arange(max_m + 1)
-    return pnh[:, None] * _soft_survival_grid(c, t, u, max_m, q)
+    blocks = _column_blocks(grid, np.asarray([m]))
+    return float(_soft_survival_grid(c, grid, u, m, blocks, q)[m, 0])
 
 
 def _as_time_grid(t) -> tuple[np.ndarray, bool]:
@@ -197,6 +207,28 @@ def _as_time_grid(t) -> tuple[np.ndarray, bool]:
     if np.any(arr < 0) or not np.all(np.isfinite(arr)):
         raise ValueError("t must be finite and >= 0")
     return arr, np.isscalar(t) or getattr(t, "ndim", 1) == 0
+
+
+def _reliability_grid(
+    s: SystemModel, t: np.ndarray, u: np.ndarray, q: QuadratureSpec, topology: Topology
+) -> tuple[np.ndarray, np.ndarray]:
+    """(R_sys, R) on the time grid t: the system's reliability under
+    `topology` and each component's, R[i], from one set of alive factors
+    p_nh^m * S_m(t_j; u_i) per component."""
+    top = truncation_level(s.shock_rate, float(t.max(initial=0.0)), q.tail_epsilon)
+    levels = _column_levels(s.shock_rate * t, q.tail_epsilon, top)
+    pmf = _poisson_pmf_grid(s.shock_rate, t, levels)
+    blocks = _column_blocks(t, levels)
+    alive = np.stack([
+        (prob_no_hard_failure(c) ** np.arange(top + 1))[:, None]
+        * _soft_survival_grid(c, t, float(ui), top, blocks, q)
+        for c, ui in zip(s.components, u)
+    ])
+    if topology is Topology.SERIES:
+        r = np.sum(pmf * np.prod(alive, axis=0), axis=0)
+    else:
+        r = 1.0 - np.sum(pmf * np.prod(1.0 - alive, axis=0), axis=0)
+    return np.clip(r, 0.0, 1.0), np.clip(np.sum(pmf * alive, axis=1), 0.0, 1.0)
 
 
 def component_reliability(
@@ -210,39 +242,16 @@ def component_reliability(
     if u < 0:
         raise ValueError("u must be >= 0")
     grid, scalar = _as_time_grid(t)
-    max_m = truncation_level(shock_rate, float(grid.max(initial=0.0)), q.tail_epsilon)
-    pmf = _poisson_pmf_grid(shock_rate, grid, max_m)
-    r = np.sum(pmf * _alive_factor_grid(c, grid, float(u), max_m, q), axis=0)
-    r = np.clip(r, 0.0, 1.0)
+    s = SystemModel((c,), shock_rate=shock_rate)
+    r = _reliability_grid(s, grid, np.asarray([float(u)]), q, Topology.SERIES)[1][0]
     return float(r[0]) if scalar else r
-
-
-def _system_grid(
-    s: SystemModel, t: np.ndarray, u: np.ndarray, q: QuadratureSpec, topology: Topology
-) -> np.ndarray:
-    max_m = truncation_level(s.shock_rate, float(t.max(initial=0.0)), q.tail_epsilon)
-    pmf = _poisson_pmf_grid(s.shock_rate, t, max_m)
-    factors = [
-        _alive_factor_grid(c, t, float(ui), max_m, q)
-        for c, ui in zip(s.components, u)
-    ]
-    prod = np.ones_like(pmf)
-    if topology is Topology.SERIES:
-        for a in factors:
-            prod *= a
-        r = np.sum(pmf * prod, axis=0)
-    else:
-        for a in factors:
-            prod *= 1.0 - a
-        r = 1.0 - np.sum(pmf * prod, axis=0)
-    return np.clip(r, 0.0, 1.0)
 
 
 def series_reliability(s: SystemModel, t, u=None, q: QuadratureSpec = DEFAULT_QUADRATURE):
     """System survives iff every component survives; shared shock count."""
     levels = as_levels(u, s.n)
     grid, scalar = _as_time_grid(t)
-    r = _system_grid(s, grid, levels, q, Topology.SERIES)
+    r = _reliability_grid(s, grid, levels, q, Topology.SERIES)[0]
     return float(r[0]) if scalar else r
 
 
@@ -250,7 +259,7 @@ def parallel_reliability(s: SystemModel, t, u=None, q: QuadratureSpec = DEFAULT_
     """System survives iff at least one component survives."""
     levels = as_levels(u, s.n)
     grid, scalar = _as_time_grid(t)
-    r = _system_grid(s, grid, levels, q, Topology.PARALLEL)
+    r = _reliability_grid(s, grid, levels, q, Topology.PARALLEL)[0]
     return float(r[0]) if scalar else r
 
 

@@ -13,6 +13,7 @@ from gammashock.surrogate import load_model
 
 
 DROP = object()  # marks a key to delete in a config edit
+HUGE_INT = "<an integer of 5001 digits>"  # written into the file in place of this string
 
 
 def write_config(tmp_path, name="config.json", **edits):
@@ -100,6 +101,13 @@ class TestOptimizeCommand:
         doc = json.loads((out / "optimize.json").read_text())
         assert doc["boundary"]
         assert doc["tau_star"] >= 50.0 - 1e-4
+
+    def test_frequent_shocks_solve(self, tmp_path):
+        # shock_rate * tau_max = 1000, past where exp(-mu) goes subnormal
+        cfg = write_config(tmp_path, system__shock_rate=20.0)
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 0
+        assert math.isfinite(json.loads((out / "optimize.json").read_text())["cost_rate_star"])
 
     def test_repeatable_up_to_timing(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -336,12 +344,13 @@ class TestConfigRejections:
             ),
             (("solver", "tau_max"), 10**400, "solver.tau_max: integer beyond the float range"),
             (("surrogate", "feature_mode"), "u_plus_params", "surrogate.feature_mode: expected"),
+            (("solver", "tau_max"), HUGE_INT, "config.json: Exceeds the limit (4300 digits)"),
         ],
         ids=[
             "unknown-key", "unknown-top-level-key", "missing-system", "string-number",
             "missing-component-field", "fractional-int", "null-section", "top-level-array",
             "bool-seed", "nan-shock-rate", "nan-shock-mean", "huge-int-float",
-            "removed-feature-mode",
+            "removed-feature-mode", "int-beyond-digit-limit",
         ],
     )
     def test_bad_config_exits_2_naming_the_field(self, tmp_path, capsys, path, value, names):
@@ -358,7 +367,7 @@ class TestConfigRejections:
         else:
             doc = value
         cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps(doc))
+        cfg.write_text(json.dumps(doc).replace(json.dumps(HUGE_INT), "1" + "0" * 5000))
         assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert names in err and "Traceback" not in err

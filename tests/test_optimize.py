@@ -71,9 +71,8 @@ class TestCostRate:
         assert abs(cost_rate(system, costs, 5.0) - 15.903505734755441) <= 0.05
 
     def test_matches_batch(self, system, costs):
-        # batch evaluation truncates the shock count at the largest
-        # quadrature time of the whole batch, so scalar calls agree only
-        # to tail_epsilon amplified by the cost scale
+        # a batch shares its quadrature times' gamma-CDF calls, which can
+        # sum the same terms in another order
         taus = np.asarray([0.5, 2.0, 5.0, 17.0, 50.0])
         batch = cost_rate_batch(system, costs, taus, [1.0, 2.0, 3.0])
         for tau, v in zip(taus, batch):
@@ -168,6 +167,35 @@ class TestSolver:
         best = min(on_grid.min(), batch(np.sqrt(grid[1:] * grid[:-1])).min())
         assert sol.cost_rate_star <= best * (1.0 + 1e-6)
         assert sol.boundary == (fraction > 0.5)
+
+    @pytest.mark.parametrize(
+        "topology, shock_rate, u, before",
+        [
+            (Topology.SERIES, 2.5e-3, [0.0, 0.0, 0.0], 787_833),
+            (Topology.SERIES, 2.5e-3, [4.0, 6.0, 7.0], 785_520),
+            (Topology.SERIES, 2.5e-3, [10.0, 15.0, 17.0], 848_925),
+            (Topology.PARALLEL, 0.1, [0.0, 0.0, 0.0], 1_904_313),
+            (Topology.PARALLEL, 0.1, [4.0, 6.0, 7.0], 1_568_880),
+            (Topology.PARALLEL, 0.1, [10.0, 15.0, 17.0], 1_131_165),
+        ],
+    )
+    def test_gamma_cdf_budget(self, system, costs, monkeypatch, topology, shock_rate, u, before):
+        # `before` is the count of a solver that truncated every time at
+        # the level of the largest and priced R_sys and R_i separately
+        import gammashock.reliability as grel
+
+        count = [0]
+        kernel = grel.gamma_cdf
+
+        def counted(*args):
+            out = kernel(*args)
+            count[0] += out.size
+            return out
+
+        monkeypatch.setattr(grel, "gamma_cdf", counted)
+        s = replace(system, topology=topology, shock_rate=shock_rate)
+        optimal_inspection_time(s, costs, u)
+        assert 0 < count[0] <= 0.65 * before
 
     def test_nonfinite_objective_raises(self, system):
         bad = CostParams(float("inf"), (200.0, 200.0, 200.0), 10.0)

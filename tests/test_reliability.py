@@ -4,11 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import pdtrc
 
 from gammashock.core import SystemModel, Topology, gamma_cdf
 from gammashock.reliability import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
+    _reliability_grid,
     component_reliability,
     parallel_reliability,
     series_reliability,
@@ -57,6 +59,17 @@ class TestTruncationLevel:
         )
         assert tail(m) < eps
         assert tail(m - 1) >= eps
+
+    @pytest.mark.parametrize("mu", [700.0, 740.0, 1000.0, 1e4])
+    def test_minimal_at_large_means(self, mu):
+        # exp(-mu) goes subnormal near mu = 708, so a level cannot come
+        # from accumulating pmf terms that start there
+        m = truncation_level(1.0, mu, 1e-10)
+        assert pdtrc(m, mu) < 1e-10 <= pdtrc(m - 1, mu)
+
+    def test_rejects_means_past_the_level_cap(self):
+        with pytest.raises(ValueError, match="shock counts"):
+            truncation_level(1.0, 1e5, 1e-10)
 
     def test_rejects_bad_epsilon(self):
         for eps in (0.0, 1.0, -0.1, 1.5):
@@ -253,6 +266,28 @@ class TestSystemReliability:
             base = series_reliability(system, T_GRID, u, DEFAULT_QUADRATURE)
             ref = series_reliability(system, T_GRID, u, fine)
             assert np.max(np.abs(base - ref)) < 1e-8
+
+    @pytest.mark.parametrize("topology", list(Topology))
+    def test_vector_time_matches_scalar(self, system, topology):
+        # each time is truncated at its own Poisson level, so a value does
+        # not depend on the other times in the call
+        s = replace(system, topology=topology, shock_rate=0.1)
+        u = [2.0, 5.0, 1.0]
+        vec = system_reliability(s, T_GRID, u)
+        comps = [component_reliability(c, s.shock_rate, T_GRID, ui) for c, ui in zip(s.components, u)]
+        for j, t in enumerate(T_GRID):
+            assert abs(vec[j] - system_reliability(s, float(t), u)) <= 1e-14
+            for c, ui, r in zip(s.components, u, comps):
+                assert abs(r[j] - component_reliability(c, s.shock_rate, float(t), ui)) <= 1e-14
+
+    @pytest.mark.parametrize("topology", list(Topology))
+    def test_shared_grid_matches_the_public_calls(self, system, topology):
+        s = replace(system, topology=topology, shock_rate=0.1)
+        u = np.asarray([2.0, 5.0, 1.0])
+        r_sys, comps = _reliability_grid(s, T_GRID, u, DEFAULT_QUADRATURE, topology)
+        assert np.array_equal(r_sys, system_reliability(s, T_GRID, u))
+        for c, ui, r in zip(s.components, u, comps):
+            assert np.max(np.abs(r - component_reliability(c, s.shock_rate, T_GRID, ui))) <= 1e-14
 
     def test_topology_dispatch(self, system):
         assert system_reliability(system, 5.0) == series_reliability(system, 5.0)
