@@ -3,12 +3,10 @@
 from .core import (
     ComponentParams,
     DamageSum,
-    DegradationState,
     SystemModel,
     Topology,
     damage_sum_distribution,
     gamma_cdf,
-    poisson_pmf,
     prob_no_hard_failure,
     std_normal_cdf,
 )
@@ -43,7 +41,6 @@ from .simulate import (
     PolicyError,
     RngSeed,
     estimate_reliability,
-    sample_state_at,
     simulate_plan,
 )
 from .surrogate import (

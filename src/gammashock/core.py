@@ -91,32 +91,11 @@ class SystemModel:
         return len(self.components)
 
 
-@dataclass(frozen=True)
-class DegradationState:
-    """Observed degradation levels, one per component (mm, >= 0)."""
-
-    levels: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(float(v) for v in self.levels))
-        if any(v < 0 or not math.isfinite(v) for v in self.levels):
-            raise ValueError("degradation levels must be finite and >= 0")
-
-    def __len__(self) -> int:
-        return len(self.levels)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.levels, dtype=float)
-
-
-def as_levels(u: DegradationState | Sequence[float] | None, n: int) -> np.ndarray:
-    """Coerce a state (or None, meaning as-good-as-new) to an n-vector."""
+def as_levels(u: Sequence[float] | None, n: int) -> np.ndarray:
+    """Coerce levels (or None, meaning as-good-as-new) to an n-vector."""
     if u is None:
         return np.zeros(n)
-    if isinstance(u, DegradationState):
-        arr = u.as_array()
-    else:
-        arr = np.asarray(u, dtype=float)
+    arr = np.asarray(u, dtype=float)
     if arr.shape != (n,):
         raise ValueError(f"state has {arr.size} levels, system has {n} components")
     if np.any(arr < 0) or not np.all(np.isfinite(arr)):
@@ -137,22 +116,6 @@ def prob_no_hard_failure(c: ComponentParams) -> float:
     if c.shock_magnitude_sd == 0:
         return 1.0 if c.shock_magnitude_mean < c.hard_threshold else 0.0
     return std_normal_cdf((c.hard_threshold - c.shock_magnitude_mean) / c.shock_magnitude_sd)
-
-
-def poisson_log_pmf(m: int, rate: float, t: float) -> float:
-    if m < 0:
-        return -math.inf
-    mu = rate * t
-    if mu == 0:
-        return 0.0 if m == 0 else -math.inf
-    return m * math.log(mu) - mu - math.lgamma(m + 1.0)
-
-
-def poisson_pmf(m: int, rate: float, t: float) -> float:
-    """P(N(t) = m) for shock count N, assembled in log space."""
-    if rate < 0 or t < 0:
-        raise ValueError("rate and t must be >= 0")
-    return math.exp(poisson_log_pmf(m, rate, t))
 
 
 def gamma_cdf(x, shape, rate):

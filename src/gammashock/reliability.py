@@ -104,7 +104,7 @@ def _poisson_pmf_grid(shock_rate: float, t: np.ndarray, levels: np.ndarray) -> n
     mu = shock_rate * t
     m = np.arange(levels.max(initial=0) + 1, dtype=float)[:, None]
     logp = m * np.log(np.where(mu > 0, mu, 1.0)) - mu - gammaln(m + 1.0)
-    return np.where(m <= levels, np.exp(logp), 0.0)
+    return np.where((m <= levels) & ((mu > 0) | (m == 0)), np.exp(logp), 0.0)
 
 
 @lru_cache(maxsize=_STACK_CACHE_SIZE)

@@ -39,30 +39,6 @@ class RngSeed:
         return np.random.default_rng((self.seed, self.stream))
 
 
-def sample_state_at(s: SystemModel, t: float, u=None, seed: RngSeed = RngSeed(0)):
-    """One draw of the system at time t from starting levels u.
-
-    Draw order is fixed: the shared shock count first, then per
-    component (in index order) its m magnitudes, its m damages, and its
-    gamma wear increment.  Returns (levels, hard_failed).
-    """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    levels = as_levels(u, s.n).copy()
-    rng = seed.generator()
-    m = int(rng.poisson(s.shock_rate * t)) if t > 0 else 0
-    hard = np.zeros(s.n, dtype=bool)
-    for i, c in enumerate(s.components):
-        if m > 0:
-            w = rng.normal(c.shock_magnitude_mean, c.shock_magnitude_sd, m)
-            y = np.clip(rng.normal(c.shock_damage_mean, c.shock_damage_sd, m), 0.0, None)
-            hard[i] = bool(np.any(w >= c.hard_threshold))
-            levels[i] += y.sum()
-        if t > 0:
-            levels[i] += rng.gamma(c.gamma_shape_rate * t, 1.0 / c.gamma_rate)
-    return levels, hard
-
-
 def _component_alive_matrix(
     s: SystemModel, t: float, levels: np.ndarray, rng: np.random.Generator, n_samples: int
 ) -> np.ndarray:

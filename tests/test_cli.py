@@ -2,10 +2,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gammashock
 from gammashock.cli import main
 from gammashock.config import config_to_dict, default_config
 from gammashock.optimize import cost_rate, dataset_from_csv, system_fingerprint
@@ -108,6 +113,19 @@ class TestOptimizeCommand:
         out = tmp_path / "out"
         assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 0
         assert math.isfinite(json.loads((out / "optimize.json").read_text())["cost_rate_star"])
+
+    def test_runs_as_a_module(self, tmp_path):
+        src = str(Path(gammashock.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        cmd = [sys.executable, "-m", "gammashock", "optimize", "--out", str(tmp_path / "a")]
+        proc = subprocess.run(
+            cmd, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert main(["optimize", "--out", str(tmp_path / "b")]) == 0
+        got, want = (json.loads((tmp_path / d / "optimize.json").read_text()) for d in "ab")
+        for key in ("tau_star", "cost_rate_star", "boundary"):
+            assert got[key] == want[key]
 
     def test_repeatable_up_to_timing(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -7,16 +7,15 @@ import pytest
 from gammashock.core import (
     ComponentParams,
     DamageSum,
-    DegradationState,
     SystemModel,
     Topology,
     as_levels,
     damage_sum_distribution,
     gamma_cdf,
-    poisson_pmf,
     prob_no_hard_failure,
     std_normal_cdf,
 )
+from gammashock.reliability import _poisson_pmf_grid
 
 
 def make_component(**overrides) -> ComponentParams:
@@ -96,33 +95,28 @@ class TestProbNoHardFailure:
         assert abs(prob_no_hard_failure(c) - expect) <= 1e-15
 
 
+def pmf_column(shock_rate: float, t: float, level: int) -> np.ndarray:
+    """P(N(t) = m) for m = 0..level, from the grid the reliability kernel uses."""
+    return _poisson_pmf_grid(shock_rate, np.asarray([t]), np.asarray([level]))[:, 0]
+
+
 class TestPoissonPmf:
     def test_zero_time(self):
-        assert poisson_pmf(0, 2.5e-3, 0.0) == 1.0
-        assert poisson_pmf(1, 2.5e-3, 0.0) == 0.0
+        assert np.array_equal(pmf_column(2.5e-3, 0.0, 3), [1.0, 0.0, 0.0, 0.0])
 
     def test_unit_mean_single_count(self):
         # rate * t = 1 so P(N = 1) = exp(-1)
-        assert abs(poisson_pmf(1, 2.5e-3, 400.0) - math.exp(-1.0)) <= 1e-12
+        assert abs(pmf_column(2.5e-3, 400.0, 1)[1] - math.exp(-1.0)) <= 1e-12
 
     def test_normalization(self):
-        total = sum(poisson_pmf(m, 2.5e-3, 400.0) for m in range(51))
-        assert abs(total - 1.0) <= 1e-12
-
-    def test_negative_count_has_no_mass(self):
-        assert poisson_pmf(-1, 1.0, 1.0) == 0.0
-
-    def test_rejects_negative_arguments(self):
-        with pytest.raises(ValueError):
-            poisson_pmf(0, -1.0, 1.0)
-        with pytest.raises(ValueError):
-            poisson_pmf(0, 1.0, -1.0)
+        assert abs(pmf_column(2.5e-3, 400.0, 50).sum() - 1.0) <= 1e-12
 
     def test_matches_direct_formula(self):
         mu = 0.7
+        pmf = pmf_column(0.07, 10.0, 7)
         for m in range(8):
             expect = math.exp(-mu) * mu**m / math.factorial(m)
-            assert abs(poisson_pmf(m, 0.07, 10.0) - expect) <= 1e-14
+            assert abs(pmf[m] - expect) <= 1e-14
 
 
 class TestGammaCdf:
@@ -230,19 +224,8 @@ class TestModelTypes:
         assert s.topology is Topology.PARALLEL
         assert s.n == 1
 
-    def test_degradation_state(self):
-        st = DegradationState((1.0, 2, 0))
-        assert len(st) == 3
-        assert st.levels == (1.0, 2.0, 0.0)
-        assert np.array_equal(st.as_array(), [1.0, 2.0, 0.0])
-        with pytest.raises(ValueError):
-            DegradationState((-0.1,))
-        with pytest.raises(ValueError):
-            DegradationState((float("inf"),))
-
     def test_as_levels(self):
         assert np.array_equal(as_levels(None, 3), np.zeros(3))
-        assert np.array_equal(as_levels(DegradationState((1.0, 2.0)), 2), [1.0, 2.0])
         assert np.array_equal(as_levels([0.5, 0.5, 0.5], 3), [0.5, 0.5, 0.5])
         with pytest.raises(ValueError):
             as_levels([1.0, 2.0], 3)  # wrong length

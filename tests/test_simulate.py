@@ -12,7 +12,6 @@ from gammashock.simulate import (
     PolicyError,
     RngSeed,
     estimate_reliability,
-    sample_state_at,
     simulate_plan,
 )
 from .test_core import make_component
@@ -32,40 +31,6 @@ class TestRngSeed:
         c = RngSeed(7, 4).generator().uniform(size=4)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
-
-
-class TestSampleStateAt:
-    def test_time_zero_returns_the_given_state(self, system):
-        u = [1.0, 2.0, 3.0]
-        levels, hard = sample_state_at(system, 0.0, u, RngSeed(1))
-        assert np.array_equal(levels, u)
-        assert not hard.any()
-
-    def test_rejects_negative_time(self, system):
-        with pytest.raises(ValueError):
-            sample_state_at(system, -1.0)
-
-    def test_no_shocks_means_no_hard_failures(self, system):
-        quiet = replace(system, shock_rate=0.0)
-        u = np.asarray([1.0, 1.0, 1.0])
-        for k in range(20):
-            levels, hard = sample_state_at(quiet, 5.0, u, RngSeed(2, k))
-            assert not hard.any()
-            assert np.all(levels >= u)  # wear only accumulates
-
-    def test_deterministic(self, system):
-        a = sample_state_at(system, 8.0, None, RngSeed(3, 1))
-        b = sample_state_at(system, 8.0, None, RngSeed(3, 1))
-        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-
-    def test_mean_wear_matches_the_gamma_law(self):
-        c = make_component()  # mean wear rate alpha / beta = 3
-        s = SystemModel(components=(c,), shock_rate=0.0)
-        t, n = 5.0, 2000
-        draws = np.asarray([sample_state_at(s, t, None, RngSeed(4, k))[0][0] for k in range(n)])
-        want_mean = c.gamma_shape_rate * t / c.gamma_rate
-        want_sd = math.sqrt(c.gamma_shape_rate * t / c.gamma_rate**2)
-        assert abs(draws.mean() - want_mean) <= 5.0 * want_sd / math.sqrt(n)
 
 
 class TestEstimateReliability:
