@@ -30,8 +30,6 @@ from .optimize import (
 from .reliability import (
     QuadratureSpec,
     component_reliability,
-    parallel_reliability,
-    series_reliability,
     soft_survival_given_m,
     system_reliability,
     truncation_level,

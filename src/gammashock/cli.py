@@ -100,7 +100,7 @@ def cmd_reliability(cfg: ExperimentConfig, args) -> int:
         s = replace(s, topology=Topology(args.topology))
     grid = _parse_grid(args.t_grid)
     u = _parse_levels(args.u, s.n)
-    r_sys, per_comp = _reliability_grid(s, grid, u, cfg.quadrature, s.topology)
+    r_sys, per_comp = _reliability_grid(s, grid, u, cfg.quadrature)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["t"] + [f"r_{i + 1}" for i in range(s.n)] + ["r_system"])
@@ -314,8 +314,8 @@ def _make_policy(cfg: ExperimentConfig, args, out: Path):
     if kind == "fixed":
         if args.tau is None:
             raise ValueError("--tau is required with --policy fixed")
-        if not args.tau > 0:
-            raise ValueError("--tau must be > 0")
+        if not 0 < args.tau < np.inf:
+            raise ValueError("--tau must be finite and > 0")
         tau = float(args.tau)
         return (lambda u: tau), f"fixed({tau:g})"
     if kind == "surrogate":
@@ -347,8 +347,8 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
     sim = cfg.simulate
     horizon = args.horizon if args.horizon is not None else sim.horizon
     reps = args.replications if args.replications is not None else sim.replications
-    if not horizon > 0 or reps < 1:
-        raise ValueError("horizon must be > 0 and replications >= 1")
+    if not 0 < horizon < np.inf or reps < 1:
+        raise ValueError("horizon must be finite and > 0 and replications >= 1")
     policy, label = _make_policy(cfg, args, out)
     traces = [
         simulate_plan(

@@ -8,6 +8,7 @@ system used throughout the docs and tests.  Print it with:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
 from typing import get_args, get_origin, get_type_hints
@@ -221,9 +222,12 @@ def _load(tp, value, path: str):
     if tp is not float:
         return value
     try:
-        return float(value)
+        value = float(value)
     except OverflowError:
         raise ValueError(f"{where}: integer beyond the float range") from None
+    if math.isinf(value):
+        raise ValueError(f"{where}: expected a finite number")
+    return value
 
 
 def _dump(value):
@@ -248,14 +252,20 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     return _load(ExperimentConfig, body, "")
 
 
+def _parse_int(text: str):
+    """An int, or a float past the digit limit, so the walker names the field."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def load_config(path) -> ExperimentConfig:
     with open(path) as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+            doc = json.load(fh, parse_int=_parse_int)
+        except ValueError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-        except ValueError as exc:  # e.g. an integer beyond the digit limit
-            raise ValueError(f"{path}: {exc}") from exc
     return config_from_dict(doc)
 
 

@@ -108,7 +108,7 @@ def cost_rate_batch(
     xi, w = _leggauss(COST_INTEGRAL_NODES)
     half = 0.5 * grid
     nodes = (half[:, None] * (xi[None, :] + 1.0)).ravel()
-    rsys, comps = _reliability_grid(s, np.concatenate((nodes, grid)), levels, q, s.topology)
+    rsys, comps = _reliability_grid(s, np.concatenate((nodes, grid)), levels, q)
     downtime = half * ((1.0 - rsys[:nodes.size].reshape(grid.size, -1)) @ w)
     return _cost_rate_from(costs, grid, comps[:, nodes.size:], downtime)
 
@@ -156,7 +156,7 @@ def _scan(s, costs, grid, levels, q):
     0, grid[0] / 2 and the taus."""
     _check_pairing(s, costs)
     t = np.concatenate(([0.0, 0.5 * grid[0]], grid))
-    rsys, comps = _reliability_grid(s, t, levels, q, s.topology)
+    rsys, comps = _reliability_grid(s, t, levels, q)
     lost = 1.0 - rsys
     idx, w = _log_time_rule(grid.size)
     g = lost[2:] * grid
@@ -169,7 +169,7 @@ def _scan(s, costs, grid, levels, q):
 def _step(s, costs, levels, q, t0, cum0, lost0, tau):
     """CR(tau) from the downtime integral cum0 at t0 < tau, where 1 - R_sys
     is lost0, plus one Simpson panel over [t0, tau]."""
-    rsys, comps = _reliability_grid(s, np.asarray([0.5 * (t0 + tau), tau]), levels, q, s.topology)
+    rsys, comps = _reliability_grid(s, np.asarray([0.5 * (t0 + tau), tau]), levels, q)
     cum = cum0 + (tau - t0) / 6.0 * (lost0 + 4.0 * (1.0 - rsys[0]) + 1.0 - rsys[1])
     return float(_cost_rate_from(costs, np.asarray([tau]), comps[:, 1:], cum)[0])
 

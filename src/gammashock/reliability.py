@@ -8,9 +8,10 @@ configurable epsilon:
 
 where p_nh is the per-shock survival probability and S_m is the soft
 survival given m shocks: the gamma CDF convolved with the m-fold
-damage law over the window [0, H - u].  Series and parallel formulas
-apply the same conditioning with a single shared shock count, which is
-what couples the components.
+damage law over the window [0, H - u].  Given m shocks, shared by all
+components, a series system is up if every component is, a parallel
+one if any is.  Series books the tail past M as failure, parallel as
+survival: the exact value lies within tail_epsilon above or below R.
 
 Each time t_j is truncated at its own level M_j, so a value does not
 depend on the other times in the call.  The damage windows for every m
@@ -210,10 +211,10 @@ def _as_time_grid(t) -> tuple[np.ndarray, bool]:
 
 
 def _reliability_grid(
-    s: SystemModel, t: np.ndarray, u: np.ndarray, q: QuadratureSpec, topology: Topology
+    s: SystemModel, t: np.ndarray, u: np.ndarray, q: QuadratureSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(R_sys, R) on the time grid t: the system's reliability under
-    `topology` and each component's, R[i], from one set of alive factors
+    """(R_sys, R) on the time grid t: the system's reliability under its
+    topology and each component's, R[i], from one set of alive factors
     p_nh^m * S_m(t_j; u_i) per component."""
     top = truncation_level(s.shock_rate, float(t.max(initial=0.0)), q.tail_epsilon)
     levels = _column_levels(s.shock_rate * t, q.tail_epsilon, top)
@@ -224,7 +225,7 @@ def _reliability_grid(
         * _soft_survival_grid(c, t, float(ui), top, blocks, q)
         for c, ui in zip(s.components, u)
     ])
-    if topology is Topology.SERIES:
+    if s.topology is Topology.SERIES:
         r = np.sum(pmf * np.prod(alive, axis=0), axis=0)
     else:
         r = 1.0 - np.sum(pmf * np.prod(1.0 - alive, axis=0), axis=0)
@@ -243,28 +244,13 @@ def component_reliability(
         raise ValueError("u must be >= 0")
     grid, scalar = _as_time_grid(t)
     s = SystemModel((c,), shock_rate=shock_rate)
-    r = _reliability_grid(s, grid, np.asarray([float(u)]), q, Topology.SERIES)[1][0]
-    return float(r[0]) if scalar else r
-
-
-def series_reliability(s: SystemModel, t, u=None, q: QuadratureSpec = DEFAULT_QUADRATURE):
-    """System survives iff every component survives; shared shock count."""
-    levels = as_levels(u, s.n)
-    grid, scalar = _as_time_grid(t)
-    r = _reliability_grid(s, grid, levels, q, Topology.SERIES)[0]
-    return float(r[0]) if scalar else r
-
-
-def parallel_reliability(s: SystemModel, t, u=None, q: QuadratureSpec = DEFAULT_QUADRATURE):
-    """System survives iff at least one component survives."""
-    levels = as_levels(u, s.n)
-    grid, scalar = _as_time_grid(t)
-    r = _reliability_grid(s, grid, levels, q, Topology.PARALLEL)[0]
+    r = _reliability_grid(s, grid, np.asarray([float(u)]), q)[1][0]
     return float(r[0]) if scalar else r
 
 
 def system_reliability(s: SystemModel, t, u=None, q: QuadratureSpec = DEFAULT_QUADRATURE):
-    """Dispatch on the system's topology."""
-    if s.topology is Topology.SERIES:
-        return series_reliability(s, t, u, q)
-    return parallel_reliability(s, t, u, q)
+    """Reliability of the system under its topology at time(s) t from levels u."""
+    levels = as_levels(u, s.n)
+    grid, scalar = _as_time_grid(t)
+    r = _reliability_grid(s, grid, levels, q)[0]
+    return float(r[0]) if scalar else r

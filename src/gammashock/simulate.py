@@ -12,7 +12,7 @@ of a batch use consecutive stream ids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -112,19 +112,7 @@ class PlanTrace:
         return 1.0 - self.downtime / self.horizon
 
     def to_dict(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "inspection_times": self.inspection_times,
-            "observed_levels": self.observed_levels,
-            "replaced": self.replaced,
-            "hard_failed": self.hard_failed,
-            "interval_downtime": self.interval_downtime,
-            "inspection_cost": self.inspection_cost,
-            "replacement_cost": self.replacement_cost,
-            "downtime_cost": self.downtime_cost,
-            "total_cost": self.total_cost,
-            "availability": self.availability,
-        }
+        return {**asdict(self), "total_cost": self.total_cost, "availability": self.availability}
 
 
 def simulate_plan(
@@ -147,14 +135,15 @@ def simulate_plan(
     visit.  Inspections past the horizon are clipped to it.
     """
     _check_pairing(s, costs)
-    if not horizon > 0:
-        raise ValueError("horizon must be > 0")
+    if not 0 < horizon < math.inf:
+        raise ValueError("horizon must be finite and > 0")
     if subgrid_steps < 1:
         raise ValueError("subgrid_steps must be >= 1")
     rng = seed.generator()
     levels = as_levels(u0, s.n).copy()
     shapes = np.asarray([c.gamma_shape_rate for c in s.components])
     scales = np.asarray([1.0 / c.gamma_rate for c in s.components])
+    soft_limits = np.asarray([c.soft_threshold for c in s.components])
     trace = PlanTrace(horizon=float(horizon))
     t_now = 0.0
     while t_now < horizon - 1e-12:
@@ -163,8 +152,8 @@ def simulate_plan(
             tau = float(tau)
         except (TypeError, ValueError) as exc:
             raise PolicyError(f"policy returned {tau!r}") from exc
-        if not math.isfinite(tau) or tau <= 0:
-            raise PolicyError(f"policy returned non-positive interval {tau!r}")
+        if not 0 < tau < math.inf:
+            raise PolicyError(f"policy returned {tau!r}, not a finite interval > 0")
         t_next = min(t_now + tau, horizon)
         dt = t_next - t_now
 
@@ -172,13 +161,11 @@ def simulate_plan(
         shock_at = np.sort(rng.uniform(0.0, dt, n_shocks)) if n_shocks else np.empty(0)
         grid = dt * np.arange(1, subgrid_steps + 1) / subgrid_steps
         offsets = np.concatenate([grid, shock_at])
-        is_shock = np.concatenate(
-            [np.zeros(grid.size, dtype=bool), np.ones(shock_at.size, dtype=bool)]
-        )
+        is_shock = np.arange(offsets.size) >= grid.size
         order = np.argsort(offsets, kind="stable")
         offsets, is_shock = offsets[order], is_shock[order]
 
-        fail_at = np.full(s.n, np.nan)
+        fail_at = np.full(s.n, np.inf)
         hard_now: list[int] = []
         prev = 0.0
         for off, shock in zip(offsets, is_shock):
@@ -191,19 +178,14 @@ def simulate_plan(
                     w = rng.normal(c.shock_magnitude_mean, c.shock_magnitude_sd)
                     y = max(rng.normal(c.shock_damage_mean, c.shock_damage_sd), 0.0)
                     levels[i] += y
-                    if w >= c.hard_threshold and np.isnan(fail_at[i]):
+                    if w >= c.hard_threshold and fail_at[i] == np.inf:
                         fail_at[i] = t_now + off
-                        if i not in hard_now:
-                            hard_now.append(i)
-            soft = (levels >= [c.soft_threshold for c in s.components]) & np.isnan(fail_at)
-            fail_at[soft] = t_now + off
+                        hard_now.append(i)
+            fail_at[(levels >= soft_limits) & (fail_at == np.inf)] = t_now + off
 
-        failed = ~np.isnan(fail_at)
-        if s.topology is Topology.SERIES:
-            down_from = np.nanmin(fail_at) if failed.any() else None
-        else:
-            down_from = np.nanmax(fail_at) if failed.all() else None
-        downtime = (t_next - down_from) if down_from is not None else 0.0
+        failed = np.isfinite(fail_at)
+        down_from = fail_at.min() if s.topology is Topology.SERIES else fail_at.max()
+        downtime = max(t_next - down_from, 0.0)
 
         replaced_ids = [int(i) for i in np.flatnonzero(failed)]
         trace.inspection_times.append(t_next)

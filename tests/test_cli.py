@@ -317,6 +317,26 @@ class TestSimulateCommand:
         assert main(["simulate", "--policy", "fixed", "--out", str(out)]) == 2
         assert main(["simulate", "--policy", "fixed", "--tau", "-1", "--out", str(out)]) == 2
 
+    @pytest.mark.parametrize(
+        "extra, names",
+        [
+            (["--tau", "1", "--horizon", "inf"], "horizon must be finite"),
+            (["--tau", "inf"], "--tau must be finite"),
+        ],
+        ids=["horizon", "tau"],
+    )
+    def test_infinite_intervals_fail_before_simulating(
+        self, tmp_path, capsys, monkeypatch, extra, names
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("simulated with an infinite interval")
+
+        monkeypatch.setattr("gammashock.cli.simulate_plan", never)
+        args = ["simulate", "--policy", "fixed", *extra, "--out", str(tmp_path / "out")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert names in err and "Traceback" not in err
+
 
 class TestConfigRejections:
     def test_inverted_solver_bounds(self, tmp_path, capsys):
@@ -336,7 +356,7 @@ class TestConfigRejections:
         cfg = write_config(tmp_path, costs__downtime_rate=float("inf"))
         assert "Infinity" in cfg.read_text()
         assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert "non-finite cost rate" in capsys.readouterr().err
+        assert "costs.downtime_rate: expected a finite number" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "path, value, names",
@@ -362,13 +382,17 @@ class TestConfigRejections:
             ),
             (("solver", "tau_max"), 10**400, "solver.tau_max: integer beyond the float range"),
             (("surrogate", "feature_mode"), "u_plus_params", "surrogate.feature_mode: expected"),
-            (("solver", "tau_max"), HUGE_INT, "config.json: Exceeds the limit (4300 digits)"),
+            (("solver", "tau_max"), HUGE_INT, "solver.tau_max: expected a finite number"),
+            (("solver", "tau_max"), float("inf"), "solver.tau_max: expected a finite number"),
+            (("simulate", "horizon"), float("inf"), "simulate.horizon: expected a finite number"),
+            (("seed",), HUGE_INT, "seed: expected an integer"),
         ],
         ids=[
             "unknown-key", "unknown-top-level-key", "missing-system", "string-number",
             "missing-component-field", "fractional-int", "null-section", "top-level-array",
             "bool-seed", "nan-shock-rate", "nan-shock-mean", "huge-int-float",
-            "removed-feature-mode", "int-beyond-digit-limit",
+            "removed-feature-mode", "int-beyond-digit-limit", "infinite-tau-max",
+            "infinite-horizon", "int-seed-beyond-digit-limit",
         ],
     )
     def test_bad_config_exits_2_naming_the_field(self, tmp_path, capsys, path, value, names):

@@ -12,8 +12,6 @@ from gammashock.reliability import (
     QuadratureSpec,
     _reliability_grid,
     component_reliability,
-    parallel_reliability,
-    series_reliability,
     soft_survival_given_m,
     system_reliability,
     truncation_level,
@@ -191,8 +189,9 @@ class TestSystemReliability:
         s1 = SystemModel(components=(c,), topology=Topology.SERIES, shock_rate=2.5e-3)
         for t in (0.0, 2.0, 6.0):
             r = component_reliability(c, 2.5e-3, t, 1.0)
-            assert abs(series_reliability(s1, t, [1.0]) - r) <= 1e-10
-            assert abs(parallel_reliability(s1, t, [1.0]) - r) <= 1e-10
+            for topology in Topology:
+                got = system_reliability(replace(s1, topology=topology), t, [1.0])
+                assert abs(got - r) <= 1e-10
 
     def test_no_shock_reduction(self, system):
         s0 = replace(system, shock_rate=0.0)
@@ -202,21 +201,22 @@ class TestSystemReliability:
                 gamma_cdf(c.soft_threshold - ui, c.gamma_shape_rate * t, c.gamma_rate)
                 for c, ui in zip(s0.components, u)
             ]
-            assert abs(series_reliability(s0, t, u) - g[0] * g[1] * g[2]) <= 1e-12
+            assert abs(system_reliability(s0, t, u) - g[0] * g[1] * g[2]) <= 1e-12
             expect_par = 1.0 - (1.0 - g[0]) * (1.0 - g[1]) * (1.0 - g[2])
-            assert abs(parallel_reliability(s0, t, u) - expect_par) <= 1e-12
+            par = replace(s0, topology=Topology.PARALLEL)
+            assert abs(system_reliability(par, t, u) - expect_par) <= 1e-12
 
     def test_monte_carlo_anchors(self, system):
         # frozen 1e6-sample estimates at t=5 from fresh state
-        got_series = series_reliability(system, 5.0)
+        got_series = system_reliability(system, 5.0)
         assert abs(got_series - 0.861434) <= 3.0 * 0.00034549307322144675
         par = replace(system, topology=Topology.PARALLEL)
-        got_par = parallel_reliability(par, 5.0)
+        got_par = system_reliability(par, 5.0)
         assert abs(got_par - 0.999962) <= 3.0 * 6.1642968779888025e-06
 
     def test_certain_at_time_zero(self, system):
-        assert series_reliability(system, 0.0) == 1.0
-        assert parallel_reliability(system, 0.0) == 1.0
+        assert system_reliability(system, 0.0) == 1.0
+        assert system_reliability(replace(system, topology=Topology.PARALLEL), 0.0) == 1.0
 
     def test_ordering(self, system, half_levels):
         for u in (None, half_levels):
@@ -227,8 +227,8 @@ class TestSystemReliability:
                     for c, ui in zip(system.components, levels)
                 ]
             )
-            ser = series_reliability(system, T_GRID, u)
-            par = parallel_reliability(system, T_GRID, u)
+            ser = system_reliability(system, T_GRID, u)
+            par = system_reliability(replace(system, topology=Topology.PARALLEL), T_GRID, u)
             assert np.all(ser <= comps.min(axis=0) + 1e-12)
             assert np.all(comps.max(axis=0) <= par + 1e-12)
 
@@ -237,9 +237,9 @@ class TestSystemReliability:
         perm = replace(system, components=(system.components[1], system.components[0], system.components[2]))
         u_perm = [5.0, 2.0, 1.0]
         for t in (2.0, 7.0):
-            assert abs(series_reliability(system, t, u) - series_reliability(perm, t, u_perm)) <= 1e-12
+            assert abs(system_reliability(system, t, u) - system_reliability(perm, t, u_perm)) <= 1e-12
             par, par_perm = (replace(x, topology=Topology.PARALLEL) for x in (system, perm))
-            assert abs(parallel_reliability(par, t, u) - parallel_reliability(par_perm, t, u_perm)) <= 1e-12
+            assert abs(system_reliability(par, t, u) - system_reliability(par_perm, t, u_perm)) <= 1e-12
 
     def test_dead_component_drops_out_of_parallel(self, system):
         # a failed unit contributes nothing; the rest carry the system
@@ -247,24 +247,24 @@ class TestSystemReliability:
         rest = replace(par, components=system.components[1:])
         dead = system.components[0].soft_threshold
         for t in (3.0, 9.0):
-            full = parallel_reliability(par, t, [dead, 4.0, 4.0])
-            sub = parallel_reliability(rest, t, [4.0, 4.0])
+            full = system_reliability(par, t, [dead, 4.0, 4.0])
+            sub = system_reliability(rest, t, [4.0, 4.0])
             assert abs(full - sub) <= 1e-12
 
     def test_dead_component_kills_series(self, system):
         dead = system.components[0].soft_threshold
-        vals = series_reliability(system, T_GRID, [dead, 0.0, 0.0])
+        vals = system_reliability(system, T_GRID, [dead, 0.0, 0.0])
         assert np.all(vals == 0.0)
 
     def test_nonincreasing_in_time(self, system):
-        vals = series_reliability(system, T_GRID)
+        vals = system_reliability(system, T_GRID)
         assert np.all(np.diff(vals) <= 1e-9)
 
     def test_quadrature_convergence(self, system, half_levels):
         fine = QuadratureSpec(node_count=128)
         for u in (None, half_levels):
-            base = series_reliability(system, T_GRID, u, DEFAULT_QUADRATURE)
-            ref = series_reliability(system, T_GRID, u, fine)
+            base = system_reliability(system, T_GRID, u, DEFAULT_QUADRATURE)
+            ref = system_reliability(system, T_GRID, u, fine)
             assert np.max(np.abs(base - ref)) < 1e-8
 
     @pytest.mark.parametrize("topology", list(Topology))
@@ -284,15 +284,26 @@ class TestSystemReliability:
     def test_shared_grid_matches_the_public_calls(self, system, topology):
         s = replace(system, topology=topology, shock_rate=0.1)
         u = np.asarray([2.0, 5.0, 1.0])
-        r_sys, comps = _reliability_grid(s, T_GRID, u, DEFAULT_QUADRATURE, topology)
+        r_sys, comps = _reliability_grid(s, T_GRID, u, DEFAULT_QUADRATURE)
         assert np.array_equal(r_sys, system_reliability(s, T_GRID, u))
         for c, ui, r in zip(s.components, u, comps):
             assert np.max(np.abs(r - component_reliability(c, s.shock_rate, T_GRID, ui))) <= 1e-14
 
-    def test_topology_dispatch(self, system):
-        assert system_reliability(system, 5.0) == series_reliability(system, 5.0)
-        par = replace(system, topology=Topology.PARALLEL)
-        assert system_reliability(par, 5.0) == parallel_reliability(par, 5.0)
+    @pytest.mark.parametrize("topology", list(Topology))
+    def test_truncation_error_lies_on_one_side(self, system, topology):
+        # a looser tail_epsilon drops more shock-count mass: series books
+        # it as failure (0 <= R(tight) - R(loose) <= eps_loose), parallel
+        # as survival (the same with the sign flipped)
+        u = [2.0, 5.0, 1.0]
+        tight = QuadratureSpec(tail_epsilon=1e-12)
+        sign = 1.0 if topology is Topology.SERIES else -1.0
+        for rate in (0.1, 0.5, 2.0):
+            s = replace(system, topology=topology, shock_rate=rate)
+            ref = system_reliability(s, T_GRID, u, tight)
+            for eps in (1e-2, 1e-4, 1e-6):
+                loose = system_reliability(s, T_GRID, u, QuadratureSpec(tail_epsilon=eps))
+                gap = sign * (ref - loose)
+                assert np.all(gap >= 0.0) and np.all(gap <= eps), (rate, eps, gap)
 
 
 class TestQuadratureSpec:

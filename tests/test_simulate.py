@@ -7,7 +7,7 @@ import pytest
 
 from gammashock.core import SystemModel, Topology
 from gammashock.optimize import CostParams
-from gammashock.reliability import series_reliability
+from gammashock.reliability import system_reliability
 from gammashock.simulate import (
     PolicyError,
     RngSeed,
@@ -50,7 +50,7 @@ class TestEstimateReliability:
     def test_agrees_with_analytic_series(self, system):
         n = 20_000
         p, se = estimate_reliability(system, 5.0, None, n, RngSeed(7))
-        exact = series_reliability(system, 5.0)
+        exact = system_reliability(system, 5.0)
         assert abs(p - exact) <= 4.0 * se + 1e-3
 
     def test_parallel_never_below_series(self, system):
@@ -158,7 +158,7 @@ class TestSimulatePlan:
         assert hard <= replaced
 
     def test_policy_errors(self, system, costs):
-        for bad in (0.0, -1.0, float("nan"), "soon", None):
+        for bad in (0.0, -1.0, float("nan"), float("inf"), "soon", None):
             with pytest.raises(PolicyError):
                 simulate_plan(system, costs, lambda u: bad, 12.0, RngSeed(18))
 
@@ -170,3 +170,15 @@ class TestSimulatePlan:
         short = CostParams(50.0, (200.0,), 10.0)
         with pytest.raises(ValueError):
             simulate_plan(system, short, lambda u: 1.0, 12.0)
+
+    def test_infinite_horizon_is_rejected(self, system, costs):
+        calls = []
+
+        def policy(u):  # stops an endless run after a few visits
+            calls.append(u)
+            assert len(calls) < 10, "simulated toward an infinite horizon"
+            return 1.0
+
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            simulate_plan(system, costs, policy, math.inf)
+        assert not calls
