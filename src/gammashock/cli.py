@@ -26,7 +26,7 @@ from .optimize import (
     system_fingerprint,
 )
 from .reliability import _reliability_grid
-from .simulate import RngSeed, simulate_plan
+from .simulate import PolicyError, RngSeed, simulate_plan
 from .surrogate import (
     FeatureSpec,
     MlpModel,
@@ -350,17 +350,22 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
     if not 0 < horizon < np.inf or reps < 1:
         raise ValueError("horizon must be finite and > 0 and replications >= 1")
     policy, label = _make_policy(cfg, args, out)
-    traces = [
-        simulate_plan(
-            cfg.system,
-            cfg.costs,
-            policy,
-            horizon,
-            RngSeed(cfg.seed, r),
-            subgrid_steps=sim.subgrid_steps,
-        )
-        for r in range(reps)
-    ]
+    try:
+        traces = [
+            simulate_plan(
+                cfg.system,
+                cfg.costs,
+                policy,
+                horizon,
+                RngSeed(cfg.seed, r),
+                subgrid_steps=sim.subgrid_steps,
+            )
+            for r in range(reps)
+        ]
+    except PolicyError as exc:
+        if args.policy == "fixed":
+            raise PolicyError(f"--tau {args.tau:g} is too small: {exc}") from exc
+        raise
     total = np.asarray([t.total_cost for t in traces])
     avail = np.asarray([t.availability for t in traces])
     rate = total / horizon
@@ -459,7 +464,7 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args)
         return args.func(cfg, args)
-    except (ValueError, OSError, NumericsError) as exc:
+    except (ValueError, OSError, NumericsError, PolicyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,6 +20,9 @@ from .core import SystemModel, Topology, as_levels
 from .optimize import CostParams, _check_pairing
 
 
+_MAX_VISITS = 100_000  # most visits one simulate_plan run may make
+
+
 class PolicyError(RuntimeError):
     """An inspection policy returned an unusable interval."""
 
@@ -133,6 +136,11 @@ def simulate_plan(
     system earns downtime cost while the topology predicate is violated
     and every failed component is replaced as good as new at the next
     visit.  Inspections past the horizon are clipped to it.
+
+    Wear is drawn in one gamma call per shock-free run of subgrid steps,
+    in the stream order of one call per step, so traces are bit-identical
+    to a step-by-step loop.  An interval that, repeated, would take the
+    run past _MAX_VISITS visits raises PolicyError before it is simulated.
     """
     _check_pairing(s, costs)
     if not 0 < horizon < math.inf:
@@ -144,6 +152,9 @@ def simulate_plan(
     shapes = np.asarray([c.gamma_shape_rate for c in s.components])
     scales = np.asarray([1.0 / c.gamma_rate for c in s.components])
     soft_limits = np.asarray([c.soft_threshold for c in s.components])
+    hard_limits = np.asarray([c.hard_threshold for c in s.components])
+    shock_loc = np.asarray([(c.shock_magnitude_mean, c.shock_damage_mean) for c in s.components])
+    shock_sd = np.asarray([(c.shock_magnitude_sd, c.shock_damage_sd) for c in s.components])
     trace = PlanTrace(horizon=float(horizon))
     t_now = 0.0
     while t_now < horizon - 1e-12:
@@ -154,6 +165,8 @@ def simulate_plan(
             raise PolicyError(f"policy returned {tau!r}") from exc
         if not 0 < tau < math.inf:
             raise PolicyError(f"policy returned {tau!r}, not a finite interval > 0")
+        if len(trace.inspection_times) + (horizon - t_now) / tau > _MAX_VISITS:
+            raise PolicyError(f"interval {tau:g} at t={t_now:g} needs over {_MAX_VISITS} visits")
         t_next = min(t_now + tau, horizon)
         dt = t_next - t_now
 
@@ -165,25 +178,33 @@ def simulate_plan(
         order = np.argsort(offsets, kind="stable")
         offsets, is_shock = offsets[order], is_shock[order]
 
-        fail_at = np.full(s.n, np.inf)
-        hard_now: list[int] = []
-        prev = 0.0
-        for off, shock in zip(offsets, is_shock):
-            step = off - prev
-            prev = off
-            if step > 0:
-                levels += rng.gamma(shapes * step, scales)
-            if shock:
-                for i, c in enumerate(s.components):
-                    w = rng.normal(c.shock_magnitude_mean, c.shock_magnitude_sd)
-                    y = max(rng.normal(c.shock_damage_mean, c.shock_damage_sd), 0.0)
-                    levels[i] += y
-                    if w >= c.hard_threshold and fail_at[i] == np.inf:
-                        fail_at[i] = t_now + off
-                        hard_now.append(i)
-            fail_at[(levels >= soft_limits) & (fail_at == np.inf)] = t_now + off
-
+        steps = np.diff(offsets, prepend=0.0)
+        worn = steps > 0
+        rows = [levels[None, :]]
+        lethal = np.zeros((offsets.size, s.n), dtype=bool)
+        start = 0  # each run of steps ends at a shock or at the interval's end
+        for end in [*np.flatnonzero(is_shock[:-1]), offsets.size - 1]:
+            run = steps[start : end + 1][worn[start : end + 1]]
+            if run.size:
+                rows.append(rng.gamma(shapes * run[:, None], scales))
+            if is_shock[end]:
+                w, y = rng.normal(shock_loc, shock_sd).T
+                lethal[end] = w >= hard_limits
+                rows.append(np.maximum(y, 0.0)[None, :])
+            start = end + 1
+        states = np.cumsum(np.concatenate(rows), axis=0)
+        closing = np.cumsum(worn.astype(int) + is_shock)
+        # each component's first soft crossing and lethal shock; offsets.size if none
+        soft_first, hard_first = (
+            np.where(m.any(axis=0), m.argmax(axis=0), offsets.size)
+            for m in (states[closing] >= soft_limits, lethal)
+        )
+        fail_at = np.append(t_now + offsets, np.inf)[np.minimum(soft_first, hard_first)]
         failed = np.isfinite(fail_at)
+        # at one offset the shock check comes first, so a tie is a hard failure
+        hard = np.flatnonzero(failed & (hard_first <= soft_first))
+        hard_now = [int(i) for i in hard[np.argsort(hard_first[hard], kind="stable")]]
+        levels = states[-1]
         down_from = fail_at.min() if s.topology is Topology.SERIES else fail_at.max()
         downtime = max(t_next - down_from, 0.0)
 

@@ -337,6 +337,26 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert names in err and "Traceback" not in err
 
+    def test_tiny_tau_exits_2_before_simulating(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["simulate", "--policy", "fixed", "--tau", "1e-9", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--tau 1e-09 is too small" in err and "100000 visits" in err
+        assert "Traceback" not in err
+        assert not (out / "traces.json").exists()
+
+    def test_policy_error_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, solver__tau_min=1e-9, solver__tau_max=2e-9)
+        out = tmp_path / "out"
+        args = [
+            "simulate", "--config", str(cfg), "--policy", "solver", "--replications", "1",
+            "--out", str(out),
+        ]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: interval") and "100000 visits" in err
+        assert not (out / "traces.json").exists()
+
 
 class TestConfigRejections:
     def test_inverted_solver_bounds(self, tmp_path, capsys):

@@ -1,14 +1,17 @@
 """Sampling oracle and inspection-plan simulation."""
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gammashock.core import SystemModel, Topology
+from gammashock import simulate
+from gammashock.core import SystemModel, Topology, as_levels
 from gammashock.optimize import CostParams
 from gammashock.reliability import system_reliability
 from gammashock.simulate import (
+    PlanTrace,
     PolicyError,
     RngSeed,
     estimate_reliability,
@@ -16,6 +19,81 @@ from gammashock.simulate import (
 )
 from .test_core import make_component
 from .test_optimize import nearly_static_system
+
+
+def _stepwise_simulate_plan(s, costs, policy, horizon, seed, u0=None, subgrid_steps=32):
+    """Reference: simulate_plan with one wear draw per subgrid step."""
+    rng = seed.generator()
+    levels = as_levels(u0, s.n).copy()
+    shapes = np.asarray([c.gamma_shape_rate for c in s.components])
+    scales = np.asarray([1.0 / c.gamma_rate for c in s.components])
+    soft_limits = np.asarray([c.soft_threshold for c in s.components])
+    trace = PlanTrace(horizon=float(horizon))
+    t_now = 0.0
+    while t_now < horizon - 1e-12:
+        tau = float(policy(levels.copy()))
+        t_next = min(t_now + tau, horizon)
+        dt = t_next - t_now
+
+        n_shocks = rng.poisson(s.shock_rate * dt) if s.shock_rate > 0 else 0
+        shock_at = np.sort(rng.uniform(0.0, dt, n_shocks)) if n_shocks else np.empty(0)
+        grid = dt * np.arange(1, subgrid_steps + 1) / subgrid_steps
+        offsets = np.concatenate([grid, shock_at])
+        is_shock = np.arange(offsets.size) >= grid.size
+        order = np.argsort(offsets, kind="stable")
+        offsets, is_shock = offsets[order], is_shock[order]
+
+        fail_at = np.full(s.n, np.inf)
+        hard_now = []
+        prev = 0.0
+        for off, shock in zip(offsets, is_shock):
+            step = off - prev
+            prev = off
+            if step > 0:
+                levels += rng.gamma(shapes * step, scales)
+            if shock:
+                for i, c in enumerate(s.components):
+                    w = rng.normal(c.shock_magnitude_mean, c.shock_magnitude_sd)
+                    y = max(rng.normal(c.shock_damage_mean, c.shock_damage_sd), 0.0)
+                    levels[i] += y
+                    if w >= c.hard_threshold and fail_at[i] == np.inf:
+                        fail_at[i] = t_now + off
+                        hard_now.append(i)
+            fail_at[(levels >= soft_limits) & (fail_at == np.inf)] = t_now + off
+
+        failed = np.isfinite(fail_at)
+        down_from = fail_at.min() if s.topology is Topology.SERIES else fail_at.max()
+        downtime = max(t_next - down_from, 0.0)
+
+        replaced_ids = [int(i) for i in np.flatnonzero(failed)]
+        trace.inspection_times.append(t_next)
+        trace.observed_levels.append([float(v) for v in levels])
+        trace.replaced.append(replaced_ids)
+        trace.hard_failed.append(hard_now)
+        trace.interval_downtime.append(float(downtime))
+        trace.inspection_cost += costs.inspection_cost
+        trace.replacement_cost += sum(costs.replacement_costs[i] for i in replaced_ids)
+        trace.downtime_cost += costs.downtime_rate * downtime
+        levels[failed] = 0.0
+        t_now = t_next
+    return trace
+
+
+class _SubgridGenerator(np.random.Generator):
+    """Draws the same stream, but puts every shock on a point of a 32-step subgrid.
+
+    Shocks then tie with subgrid points, with each other and with offset 0,
+    so some steps between offsets are zero.
+    """
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        x = super().uniform(low, high, size)
+        return high * np.floor(x / high * 32) / 32
+
+
+class _SubgridSeed(RngSeed):
+    def generator(self):
+        return _SubgridGenerator(np.random.PCG64((self.seed, self.stream)))
 
 
 class TestRngSeed:
@@ -182,3 +260,71 @@ class TestSimulatePlan:
         with pytest.raises(ValueError, match="horizon must be finite"):
             simulate_plan(system, costs, policy, math.inf)
         assert not calls
+
+    def test_visit_cap_fails_before_simulating_toward_it(self, system, costs):
+        calls = []
+
+        def policy(u):  # three ordinary intervals, then one that would never end
+            calls.append(u)
+            assert len(calls) < 10, "simulated toward the visit cap"
+            return 1.0 if len(calls) < 4 else 1e-9
+
+        with pytest.raises(PolicyError, match="needs over 100000 visits"):
+            simulate_plan(system, costs, policy, 12.0, RngSeed(19))
+        assert len(calls) == 4
+
+    def test_visit_cap_admits_a_run_that_reaches_it(self, system, costs, monkeypatch):
+        monkeypatch.setattr(simulate, "_MAX_VISITS", 4)
+        trace = simulate_plan(system, costs, lambda u: 3.0, 12.0, RngSeed(20))
+        assert len(trace.inspection_times) == 4
+        with pytest.raises(PolicyError):
+            simulate_plan(system, costs, lambda u: 2.9, 12.0, RngSeed(20))
+
+
+def _oracle_system(system, topology, shock_rate, lethal):
+    comps = system.components
+    if lethal:  # about one shock in three kills each component outright
+        comps = tuple(
+            replace(c, hard_threshold=c.shock_magnitude_mean + 0.5 * c.shock_magnitude_sd)
+            for c in comps
+        )
+    return replace(system, topology=topology, shock_rate=shock_rate, components=comps)
+
+
+class TestBatchedDrawsMatchStepwiseLoop:
+    """simulate_plan against _stepwise_simulate_plan, trace for trace."""
+
+    @pytest.mark.parametrize("topology", list(Topology))
+    @pytest.mark.parametrize("shock_rate", [0.0, 0.0025, 0.1, 1.0, 5.0])
+    def test_traces_are_identical(self, system, costs, topology, shock_rate):
+        dead = [c.soft_threshold for c in system.components]
+        dead[2] += 1.0
+        starts = [None, dead, [0.0, 0.9 * system.components[1].soft_threshold, 0.0]]
+        for tau, lethal, (seed, u0) in itertools.product(
+            (0.3, 2.0, 13.0), (False, True), enumerate(starts)
+        ):
+            s = _oracle_system(system, topology, shock_rate, lethal)
+            args = (s, costs, lambda u: tau, 12.0, RngSeed(seed, 7), u0)
+            assert simulate_plan(*args).to_dict() == _stepwise_simulate_plan(*args).to_dict()
+
+    def test_shocks_tied_with_subgrid_points(self, system, costs):
+        # zero steps between offsets draw no wear in either implementation
+        hard = 0
+        for topology, seed in itertools.product(Topology, range(4)):
+            s = _oracle_system(system, topology, 5.0, True)
+            u0 = [c.soft_threshold for c in s.components] if seed == 3 else None
+            args = (s, costs, lambda u: 2.0, 12.0, _SubgridSeed(seed), u0)
+            new = simulate_plan(*args).to_dict()
+            assert new == _stepwise_simulate_plan(*args).to_dict()
+            hard += sum(map(len, new["hard_failed"]))
+        assert hard > 0
+
+    def test_cases_cover_both_failure_orders(self, system, costs):
+        # the comparisons above see hard failures listed and soft crossings
+        # that came before a lethal shock, which must not be listed
+        s = _oracle_system(system, Topology.SERIES, 5.0, True)
+        dead = [c.soft_threshold for c in system.components]
+        trace = simulate_plan(s, costs, lambda u: 2.0, 12.0, RngSeed(1, 7), dead).to_dict()
+        assert trace["hard_failed"][0] == [] and trace["replaced"][0] == [0, 1, 2]
+        assert any(len(h) > 1 for h in trace["hard_failed"])
+
