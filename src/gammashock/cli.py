@@ -410,7 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, help="override the config seed")
     common.add_argument("--out", default="out", help="output directory (default: out)")
     common.add_argument(
-        "--quadrature-nodes", type=int, help="override damage-integral node count"
+        "--quadrature-nodes",
+        type=int,
+        help="override the damage-integral node count per shock count (default 32)",
     )
     parser = argparse.ArgumentParser(
         prog="gammashock",

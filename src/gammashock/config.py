@@ -15,7 +15,7 @@ from typing import get_args, get_origin, get_type_hints
 
 from .core import ComponentParams, SystemModel, Topology
 from .optimize import CostParams, two_regime_state_sampler, uniform_state_sampler
-from .reliability import QuadratureSpec
+from .reliability import QuadratureSpec, truncation_level
 from .surrogate import FeatureMode, TrainMode
 
 SCHEMA_VERSION = 1
@@ -121,6 +121,13 @@ class ExperimentConfig:
             )
         if not self.seed >= 0:
             raise ValueError("seed must be >= 0")
+        try:
+            truncation_level(self.system.shock_rate, self.solver.tau_max, self.quadrature.tail_epsilon)
+        except ValueError as exc:
+            raise ValueError(
+                f"solver.tau_max {self.solver.tau_max:g} at system.shock_rate "
+                f"{self.system.shock_rate:g}: {exc}"
+            ) from None
 
 
 def default_config() -> ExperimentConfig:

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from gammashock.config import default_config
+
+# Every run draws the same examples, and none is timed or stored.
+settings.register_profile("reproducible", derandomize=True, database=None, deadline=None)
+settings.load_profile("reproducible")
 
 
 @pytest.fixture(scope="session")

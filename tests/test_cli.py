@@ -406,13 +406,14 @@ class TestConfigRejections:
             (("solver", "tau_max"), float("inf"), "solver.tau_max: expected a finite number"),
             (("simulate", "horizon"), float("inf"), "simulate.horizon: expected a finite number"),
             (("seed",), HUGE_INT, "seed: expected an integer"),
+            (("solver", "tau_max"), 1e9, "solver.tau_max 1e+09 at system.shock_rate 0.0025"),
         ],
         ids=[
             "unknown-key", "unknown-top-level-key", "missing-system", "string-number",
             "missing-component-field", "fractional-int", "null-section", "top-level-array",
             "bool-seed", "nan-shock-rate", "nan-shock-mean", "huge-int-float",
             "removed-feature-mode", "int-beyond-digit-limit", "infinite-tau-max",
-            "infinite-horizon", "int-seed-beyond-digit-limit",
+            "infinite-horizon", "int-seed-beyond-digit-limit", "untruncatable-horizon",
         ],
     )
     def test_bad_config_exits_2_naming_the_field(self, tmp_path, capsys, path, value, names):

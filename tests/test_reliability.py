@@ -4,9 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.special import pdtrc
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import pdtrc, roots_legendre
+from scipy.stats import poisson
 
-from gammashock.core import SystemModel, Topology, gamma_cdf
+from gammashock.core import ComponentParams, SystemModel, Topology, gamma_cdf, prob_no_hard_failure
+from gammashock.optimize import DEFAULT_BOUNDS, two_regime_state_sampler
 from gammashock.reliability import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
@@ -316,3 +320,96 @@ class TestQuadratureSpec:
             QuadratureSpec(tail_epsilon=1.0)
         with pytest.raises(ValueError):
             QuadratureSpec(domain_sigmas=0.0)
+
+
+REFERENCE = QuadratureSpec(node_count=512)  # the graded rule, far past convergence
+
+
+def _grid_error(s, t, u, q=DEFAULT_QUADRATURE):
+    """Largest |R - R_ref| over the system's and every component's curve."""
+    got, ref = (_reliability_grid(s, t, np.asarray(u, dtype=float), x) for x in (q, REFERENCE))
+    return max(np.max(np.abs(got[0] - ref[0])), np.max(np.abs(got[1] - ref[1])))
+
+
+def _plain_rule_parallel(s, t, u, nodes):
+    """Parallel R(t) with the damage convolution on ungraded Gauss-Legendre
+    nodes over each window, written out term by term (t > 0)."""
+    x, w = roots_legendre(nodes)
+    out = []
+    for tj in t:
+        top = truncation_level(s.shock_rate, tj, DEFAULT_QUADRATURE.tail_epsilon)
+        dead = np.ones(top + 1)
+        for c, ui in zip(s.components, u):
+            head = c.soft_threshold - ui
+            shape = c.gamma_shape_rate * tj
+            for m in range(top + 1):
+                mean, sd = m * c.shock_damage_mean, math.sqrt(m) * c.shock_damage_sd
+                lo = max(0.0, mean - DEFAULT_QUADRATURE.domain_sigmas * sd)
+                hi = min(head, mean + DEFAULT_QUADRATURE.domain_sigmas * sd)
+                if m == 0:
+                    soft = gamma_cdf(head, shape, c.gamma_rate)
+                elif hi > lo:
+                    y = 0.5 * (hi - lo) * (x + 1.0) + lo
+                    dens = np.exp(-0.5 * ((y - mean) / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
+                    soft = 0.5 * (hi - lo) * np.sum(w * dens * gamma_cdf(head - y, shape, c.gamma_rate))
+                else:
+                    soft = 0.0
+                dead[m] *= 1.0 - prob_no_hard_failure(c) ** m * soft
+        pmf = poisson.pmf(np.arange(top + 1), s.shock_rate * tj)
+        out.append(1.0 - np.sum(pmf * dead))
+    return np.asarray(out)
+
+
+@st.composite
+def _systems(draw):
+    """A valid one- or three-component system, its levels and a time grid
+    from 0 to twice the longest mean wear life."""
+    unit = st.floats(0.0, 1.0)
+    comps, levels = [], []
+    for _ in range(draw(st.sampled_from([1, 3]))):
+        h = draw(st.floats(5.0, 30.0))
+        comps.append(ComponentParams(
+            soft_threshold=h,
+            hard_threshold=draw(st.floats(1.0, 8.0)),
+            gamma_shape_rate=draw(st.floats(0.2, 5.0)),
+            gamma_rate=draw(st.floats(0.2, 3.0)),
+            shock_magnitude_mean=draw(st.floats(0.0, 4.0)),
+            shock_magnitude_sd=draw(st.floats(0.0, 1.0)),
+            shock_damage_mean=(0.02 + 0.48 * draw(unit)) * h,
+            shock_damage_sd=0.3 * draw(unit) * h,
+        ))
+        levels.append(0.9 * draw(unit) * h)
+    s = SystemModel(
+        tuple(comps),
+        topology=draw(st.sampled_from(list(Topology))),
+        shock_rate=draw(st.floats(0.01, 2.0)),
+    )
+    life = max((c.soft_threshold - ui) * c.gamma_rate / c.gamma_shape_rate for c, ui in zip(comps, levels))
+    t = np.concatenate(([0.0], np.geomspace(1e-3, 2.0, 25) * life))
+    return s, t, levels
+
+
+class TestQuadratureBudget:
+    """The damage quadrature's error against the reference rule."""
+
+    @settings(max_examples=40)
+    @given(case=_systems())
+    def test_random_systems_within_1e_7(self, case):
+        s, t, u = case
+        assert _grid_error(s, t, u) <= 1e-7
+
+    @pytest.mark.parametrize("rate", [2.5e-3, 0.1])
+    @pytest.mark.parametrize("topology", list(Topology))
+    def test_default_system_on_the_scan_grid_within_1e_10(self, system, topology, rate):
+        s = replace(system, topology=topology, shock_rate=rate)
+        rng = np.random.default_rng(11)
+        sample = two_regime_state_sampler(s)
+        grid = np.geomspace(*DEFAULT_BOUNDS, 200)
+        for _ in range(4):
+            assert _grid_error(s, grid, sample(rng)) <= 1e-10
+
+    def test_reference_matches_a_dense_plain_rule(self, system):
+        s = replace(system, topology=Topology.PARALLEL, shock_rate=0.1)
+        u = [4.0, 6.0, 7.0]
+        ref = _reliability_grid(s, T_GRID[1:], np.asarray(u), REFERENCE)[0]
+        assert np.max(np.abs(ref - _plain_rule_parallel(s, T_GRID[1:], u, 4096))) <= 1e-12
