@@ -25,7 +25,7 @@ SCHEMA_VERSION = 1
 class SolverConfig:
     tau_min: float = 0.1
     tau_max: float = 50.0
-    tol: float = 1e-4
+    tol: float = 1e-4  # boundary margin: a tau* this close to a bound is flagged
     grid_points: int = 200
 
     def __post_init__(self):

@@ -15,7 +15,8 @@ one reliability grid per evaluation.  cost_rate integrates with a
 log-spaced taus from R_sys and R_i at the taus alone (plus one midpoint
 for the first panel, [0, tau_0]): each later interval is integrated in
 s = ln t, where the taus are uniform, with 6-point interpolatory weights.
-The tests hold it within 1e-6 relative of cost_rate.
+The tests hold it within 1e-6 relative of cost_rate.  The solver refines
+the argmin from those cost rates alone (Brent 1973, ch. 5; see _fit_minimum).
 """
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .core import SystemModel, as_levels
 from .reliability import (
@@ -47,7 +49,6 @@ from .reliability import (
 COST_INTEGRAL_NODES = 32
 _STENCIL = 6  # grid points per interval in the scan's log-time rule
 DEFAULT_BOUNDS = (0.1, 50.0)
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 _STREAM_DATASET = 101
 _STREAM_SPLIT = 102
@@ -166,12 +167,18 @@ def _scan(s, costs, grid, levels, q):
     return cum, _cost_rate_from(costs, grid, comps[:, 2:], cum), lost[2:]
 
 
-def _step(s, costs, levels, q, t0, cum0, lost0, tau):
-    """CR(tau) from the downtime integral cum0 at t0 < tau, where 1 - R_sys
-    is lost0, plus one Simpson panel over [t0, tau]."""
-    rsys, comps = _reliability_grid(s, np.asarray([0.5 * (t0 + tau), tau]), levels, q)
-    cum = cum0 + (tau - t0) / 6.0 * (lost0 + 4.0 * (1.0 - rsys[0]) + 1.0 - rsys[1])
-    return float(_cost_rate_from(costs, np.asarray([tau]), comps[:, 1:], cum)[0])
+def _fit_minimum(grid, cr, i) -> float:
+    """Minimizer over [grid[i - 1], grid[i + 1]], clipped to the grid, of the
+    polynomial in offsets k - i of ln tau through cr on _log_time_rule's
+    stencil: a bracket end (as its grid point) or a real critical point."""
+    n = grid.size
+    idx = _log_time_rule(n)[0][min(i, n - 2)]
+    c = P.polyfit(idx - i, cr[idx], idx.size - 1)
+    ends = np.asarray([max(i - 1, 0), min(i + 1, n - 1)])
+    x = P.polyroots(P.polyder(c))
+    x = x[(x.imag == 0) & (x.real > ends[0] - i) & (x.real < ends[1] - i)].real
+    taus = np.concatenate((grid[ends], grid[i] * np.exp(math.log(grid[1] / grid[0]) * x)))
+    return float(taus[np.argmin(P.polyval(np.concatenate((ends - i, x)), c))])
 
 
 @dataclass(frozen=True)
@@ -196,13 +203,13 @@ def optimal_inspection_time(
 
     One pass prices a log-spaced grid from the reliabilities at the grid
     points, 0 and half the first point, summing the downtime integral with
-    a 6-point rule in log-time (see _scan).  Golden-section refines the
-    argmin's bracket to width tol, each step adding one Simpson panel to
-    the sum at the bracket's left grid point, which needs the
-    reliabilities at two new times: the panel's midpoint and tau.  The
-    refined tau and the best grid point are priced with cost_rate and the
-    cheaper one is reported; results at either search bound are flagged as
-    boundary solutions.
+    a 6-point rule in log-time (see _scan).  The degree-5 polynomial in
+    ln tau through the scanned cost rates around the argmin is minimized
+    over the argmin's two neighbouring intervals (see _fit_minimum).  That
+    tau and the best grid point are priced in one cost_rate_batch call,
+    only once when they coincide, and the cheaper one is reported.  tol is
+    only the boundary margin: a tau* within tol of either search bound is
+    flagged as a boundary solution.
     """
     lo, hi = float(bounds[0]), float(bounds[1])
     if not (0 < lo < hi):
@@ -213,31 +220,15 @@ def optimal_inspection_time(
         raise ValueError("grid_points must be >= 3")
     levels = as_levels(u, s.n)
     grid = np.geomspace(lo, hi, grid_points)
-    cum, scan, lost = _scan(s, costs, grid, levels, q)
+    _, scan, _ = _scan(s, costs, grid, levels, q)
     bad = ~np.isfinite(scan)
     if np.any(bad):
         raise NumericsError(f"non-finite cost rate at tau={grid[bad][0]:.6g}")
     i = int(np.argmin(scan))
-    k = max(i - 1, 0)
-    a, b = grid[k], grid[min(i + 1, grid_points - 1)]
-    f = lambda tau: _step(s, costs, levels, q, grid[k], cum[k], lost[k], tau)
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    tau_star = 0.5 * (a + b)
-    cr_star = cost_rate(s, costs, tau_star, levels, q)
-    cr_grid = cost_rate(s, costs, float(grid[i]), levels, q)
-    if cr_grid < cr_star:  # keep the scanned point if refinement did not help
-        tau_star, cr_star = float(grid[i]), cr_grid
+    taus = np.unique([_fit_minimum(grid, scan, i), grid[i]])
+    priced = cost_rate_batch(s, costs, taus, levels, q)
+    best = int(np.argmin(priced))
+    tau_star, cr_star = taus[best], priced[best]
     boundary = tau_star <= lo + tol or tau_star >= hi - tol
     return TauSolution(float(tau_star), float(cr_star), bool(boundary))
 

@@ -97,11 +97,12 @@ def truncation_level(shock_rate: float, t: float, tail_epsilon: float) -> int:
         raise ValueError("tail_epsilon must be in (0, 1)")
     mu = shock_rate * t
     top = 1
-    while not pdtrc(top, mu) < tail_epsilon:
-        if top > _MAX_TRUNCATION:
-            raise ValueError(f"Poisson mean {mu:g} needs more than {_MAX_TRUNCATION} shock counts")
+    while top <= _MAX_TRUNCATION and not pdtrc(top, mu) < tail_epsilon:
         top *= 2
-    return int(_column_levels(np.asarray([mu]), tail_epsilon, top)[0])
+    level = int(_column_levels(np.asarray([mu]), tail_epsilon, top)[0])
+    if level > _MAX_TRUNCATION or not pdtrc(level, mu) < tail_epsilon:
+        raise ValueError(f"Poisson mean {mu:g} needs more than {_MAX_TRUNCATION} shock counts")
+    return level
 
 
 def _poisson_pmf_grid(shock_rate: float, t: np.ndarray, levels: np.ndarray) -> np.ndarray:

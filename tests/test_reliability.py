@@ -73,6 +73,13 @@ class TestTruncationLevel:
         with pytest.raises(ValueError, match="shock counts"):
             truncation_level(1.0, 1e5, 1e-10)
 
+    def test_rejects_levels_past_the_cap_that_the_search_overshoots(self):
+        # the doubling search meets the tail bound at 32,768, but the
+        # level it then finds, 26,012, is still above the 20,000 cap
+        with pytest.raises(ValueError, match="shock counts"):
+            truncation_level(1.0, 25000.0, 1e-10)
+        assert truncation_level(1.0, 19000.0, 1e-10) == 19_883
+
     def test_rejects_bad_epsilon(self):
         for eps in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ValueError):
