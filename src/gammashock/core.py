@@ -98,7 +98,7 @@ def as_levels(u: Sequence[float] | None, n: int) -> np.ndarray:
     arr = np.asarray(u, dtype=float)
     if arr.shape != (n,):
         raise ValueError(f"state has {arr.size} levels, system has {n} components")
-    if np.any(arr < 0) or not np.all(np.isfinite(arr)):
+    if not ((arr >= 0).all() and np.isfinite(arr).all()):
         raise ValueError("degradation levels must be finite and >= 0")
     return arr
 

@@ -150,8 +150,8 @@ def _log_time_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _scan(s, costs, grid, levels, q):
-    """(cum, cr, lost) at the log-spaced taus in grid: the downtime integrals
-    int_0^tau (1 - R_sys) dt, the cost rates and 1 - R_sys.  [0, grid[0]]
+    """(cum, cr) at the log-spaced taus in grid: the downtime integrals
+    int_0^tau (1 - R_sys) dt and the cost rates.  [0, grid[0]]
     is one Simpson panel; each later interval integrates g = (1 - R_sys) * t
     over s = ln t with _log_time_rule, so the reliability grid holds only
     0, grid[0] / 2 and the taus."""
@@ -164,7 +164,7 @@ def _scan(s, costs, grid, levels, q):
     steps = math.log(grid[1] / grid[0]) * np.sum(w * g[idx], axis=1)
     first = grid[0] / 6.0 * (lost[0] + 4.0 * lost[1] + lost[2])
     cum = first + np.concatenate(([0.0], np.cumsum(steps)))
-    return cum, _cost_rate_from(costs, grid, comps[:, 2:], cum), lost[2:]
+    return cum, _cost_rate_from(costs, grid, comps[:, 2:], cum)
 
 
 def _fit_minimum(grid, cr, i) -> float:
@@ -220,7 +220,7 @@ def optimal_inspection_time(
         raise ValueError("grid_points must be >= 3")
     levels = as_levels(u, s.n)
     grid = np.geomspace(lo, hi, grid_points)
-    _, scan, _ = _scan(s, costs, grid, levels, q)
+    _, scan = _scan(s, costs, grid, levels, q)
     bad = ~np.isfinite(scan)
     if np.any(bad):
         raise NumericsError(f"non-finite cost rate at tau={grid[bad][0]:.6g}")

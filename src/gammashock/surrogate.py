@@ -5,7 +5,9 @@ scenarios so that planning amounts to one forward pass instead of a
 full cost-rate minimization.  Everything here is written out
 explicitly: initialization, one forward pass and one backpropagation
 over a batch of rows (a prediction or a per-sample SGD step is a batch
-of one row, a full-batch GD step is every training row).
+of one row, a full-batch GD step is every training row).  fit keeps the
+weights and biases as views of one flat vector and has backpropagation
+write the gradients in that layout, so a step is one in-place update.
 
 Weights W[l] have shape (fan_out, fan_in), so a layer maps rows A to
 sigmoid(A @ W.T + b).  Features are standardized by the stored input
@@ -19,6 +21,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,8 +64,14 @@ class FeatureSpec:
         return s.n
 
     def build(self, s: SystemModel, u) -> np.ndarray:
-        levels = as_levels(u, s.n)
-        return levels / np.asarray([c.soft_threshold for c in s.components])
+        return as_levels(u, s.n) / _thresholds(s)
+
+
+@lru_cache(maxsize=64)
+def _thresholds(s: SystemModel) -> np.ndarray:
+    h = np.asarray([c.soft_threshold for c in s.components])
+    h.flags.writeable = False
+    return h
 
 
 def sigmoid(z):
@@ -133,8 +142,8 @@ def _activations(m: MlpModel, xs: np.ndarray) -> list[np.ndarray]:
     """Layer outputs for scaled inputs xs (n, p); the last is (n, 1)."""
     acts = [xs]
     for w, b in zip(m.weights[:-1], m.biases[:-1]):
-        acts.append(sigmoid(acts[-1] @ w.T + b))
-    acts.append(acts[-1] @ m.weights[-1].T + m.biases[-1])  # linear output
+        acts.append(sigmoid(np.dot(acts[-1], w.T) + b))
+    acts.append(np.dot(acts[-1], m.weights[-1].T) + m.biases[-1])  # linear output
     return acts
 
 
@@ -187,21 +196,23 @@ def training_loss(m: MlpModel, features, target: float) -> float:
     return float(r * r)
 
 
-def _gradients(m: MlpModel, xs: np.ndarray, ts: np.ndarray):
-    """Gradients of the mean squared error over scaled rows xs (n, p), ts (n,).
+def _gradients(m: MlpModel, xs: np.ndarray, ts: np.ndarray, out=None):
+    """Gradients of the mean squared error over scaled rows xs (n, p), ts (n,),
+    written into out = (grads_w, grads_b) or, without out, into new arrays.
 
     delta carries the mean's 2/n, so for n = 1 every sum below is exact.
     """
+    grads_w, grads_b = out or ([np.empty_like(w) for w in m.weights],
+                               [np.empty_like(b) for b in m.biases])
     acts = _activations(m, xs)
     delta = (acts[-1] - ts[:, None]) * (2.0 / xs.shape[0])
-    grads_w, grads_b = [], []
     for l in range(len(m.weights) - 1, -1, -1):
-        grads_w.append(delta.T @ acts[l])
-        grads_b.append(delta.sum(axis=0))
+        np.dot(delta.T, acts[l], out=grads_w[l])
+        np.add.reduce(delta, axis=0, out=grads_b[l])
         if l:
             a = acts[l]
-            delta = (delta @ m.weights[l]) * a * (1.0 - a)
-    return grads_w[::-1], grads_b[::-1]
+            delta = np.dot(delta, m.weights[l]) * a * (1.0 - a)
+    return grads_w, grads_b
 
 
 def backprop_gradients(m: MlpModel, features, target: float):
@@ -247,6 +258,14 @@ def fit(
         work.output_scale = ysd if ysd > 1e-12 else 1.0
     xs = (x - work.input_shift) / work.input_scale
     ys = (y - work.output_shift) / work.output_scale
+    # theta holds every weight and bias and grad their gradients in the same
+    # layout; the model's arrays and the gradient arrays are shaped views
+    params, n = work.weights + work.biases, len(work.weights)
+    theta = np.concatenate([p.ravel() for p in params])
+    grad, cuts = np.empty_like(theta), np.cumsum([p.size for p in params])[:-1]
+    pv, gv = ([v.reshape(p.shape) for v, p in zip(np.split(f, cuts), params)]
+              for f in (theta, grad))
+    work.weights, work.biases, out = pv[:n], pv[n:], (gv[:n], gv[n:])
     rng = np.random.default_rng((seed, _STREAM_SHUFFLE))
     per_sample = mode is TrainMode.PER_SAMPLE_SGD
     width = 1 if per_sample else y.size
@@ -255,11 +274,8 @@ def fit(
         # per-sample SGD steps on one row at a time in a seeded order,
         # full-batch GD takes one step on all rows
         for i in rng.permutation(y.size) if per_sample else (0,):
-            gw, gb = _gradients(work, xs[i:i + width], ys[i:i + width])
-            for w, g in zip(work.weights, gw):
-                w -= eta * g
-            for b, g in zip(work.biases, gb):
-                b -= eta * g
+            _gradients(work, xs[i:i + width], ys[i:i + width], out)
+            theta -= eta * grad
         epoch_mse = mse(predict_batch(work, x), y)
         history.append(epoch_mse)
         if not math.isfinite(epoch_mse) or epoch_mse > _DIVERGENCE_MSE:
@@ -307,8 +323,7 @@ def predict_next_inspection(m: MlpModel, s: SystemModel, u) -> float:
     """Surrogate recommendation, clamped to the solver's search bounds."""
     if m.system_fingerprint and m.system_fingerprint != system_fingerprint(s):
         raise ValueError("model was trained for a different system")
-    x = FeatureSpec(m.feature_mode).build(s, u)
-    tau = forward(m, x)
+    tau = forward(m, FeatureSpec(m.feature_mode).build(s, u))
     if m.clamp_bounds is not None:
         tau = min(max(tau, m.clamp_bounds[0]), m.clamp_bounds[1])
     return float(tau)

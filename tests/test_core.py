@@ -227,9 +227,9 @@ class TestModelTypes:
     def test_as_levels(self):
         assert np.array_equal(as_levels(None, 3), np.zeros(3))
         assert np.array_equal(as_levels([0.5, 0.5, 0.5], 3), [0.5, 0.5, 0.5])
-        with pytest.raises(ValueError):
-            as_levels([1.0, 2.0], 3)  # wrong length
-        with pytest.raises(ValueError):
-            as_levels([-1.0, 0.0], 2)
-        with pytest.raises(ValueError):
-            as_levels([float("nan"), 0.0], 2)
+        assert as_levels([-0.0, 0.0], 2)[0] == 0.0
+        with pytest.raises(ValueError, match="state has 2 levels, system has 3 components"):
+            as_levels([1.0, 2.0], 3)
+        for bad in (-1.0, -1e-300, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="degradation levels must be finite and >= 0"):
+                as_levels([bad, 0.0], 2)

@@ -106,7 +106,7 @@ class TestSolver:
         sol = optimal_inspection_time(system, costs)
         grid = np.geomspace(*DEFAULT_BOUNDS, 200)
         vals = cost_rate_batch(system, costs, grid)
-        _, scan, _ = _scan(system, costs, grid, np.zeros(system.n), DEFAULT_QUADRATURE)
+        _, scan = _scan(system, costs, grid, np.zeros(system.n), DEFAULT_QUADRATURE)
         assert np.max(np.abs(scan / vals - 1.0)) <= 1e-6
         assert sol.cost_rate_star <= vals.min() + 1e-12
         assert abs(cost_rate(system, costs, sol.tau_star) - sol.cost_rate_star) <= 1e-9
@@ -163,7 +163,7 @@ class TestSolver:
 
         grid = np.geomspace(*DEFAULT_BOUNDS, 200)
         on_grid = batch(grid)
-        _, scan, _ = _scan(par, costs, grid, u, DEFAULT_QUADRATURE)
+        _, scan = _scan(par, costs, grid, u, DEFAULT_QUADRATURE)
         assert np.max(np.abs(scan / on_grid - 1.0)) <= 1e-6
         sol = optimal_inspection_time(par, costs, u)
         best = min(on_grid.min(), batch(np.sqrt(grid[1:] * grid[:-1])).min())
@@ -253,7 +253,7 @@ class TestRefinement:
         n = self.GRID.size
         for u in states:
             sol = optimal_inspection_time(s, costs, u)
-            _, scan, _ = _scan(s, costs, self.GRID, u, DEFAULT_QUADRATURE)
+            _, scan = _scan(s, costs, self.GRID, u, DEFAULT_QUADRATURE)
             i = int(np.argmin(scan))
             taus = np.linspace(self.GRID[max(i - 1, 0)], self.GRID[min(i + 1, n - 1)], 201)
             best = min(  # chunked to bound memory at the parallel truncation level
@@ -314,7 +314,7 @@ class TestScanRule:
             t = (a[:, None] + (b - a)[:, None] * x).ravel()
             lost = 1.0 - system_reliability(s, t, u).reshape(a.size, -1)
             ref[k:k + 25] = (b - a) / 96.0 * (lost @ simpson)
-        cum, cr, _ = _scan(s, costs, grid, np.asarray(u), DEFAULT_QUADRATURE)
+        cum, cr = _scan(s, costs, grid, np.asarray(u), DEFAULT_QUADRATURE)
         err = costs.downtime_rate * np.abs(cum - np.cumsum(ref)) / (cr * grid)
         assert np.max(err) <= 1e-7
 

@@ -14,6 +14,7 @@ from gammashock.surrogate import (
     FeatureSpec,
     MlpModel,
     TrainMode,
+    _gradients,
     backprop_gradients,
     fit,
     forward,
@@ -58,6 +59,17 @@ class TestFeatureSpec:
     def test_levels_are_scaled_by_threshold(self, system):
         x = FeatureSpec(FeatureMode.U_ONLY).build(system, [10.0, 15.0, 7.0])
         assert np.allclose(x, [0.5, 0.5, 0.2])
+
+    def test_thresholds_follow_the_system(self, system):
+        spec, u = FeatureSpec(FeatureMode.U_ONLY), [10.0, 15.0, 7.0]
+        c = system.components[0]
+        wider = replace(
+            system, components=(replace(c, soft_threshold=40.0),) + system.components[1:]
+        )
+        first = spec.build(system, u)
+        first[:] = 0.0  # the caller owns the returned array
+        assert spec.build(wider, u)[0] == 0.25
+        assert spec.build(system, u)[0] == 0.5
 
 
 class TestSigmoid:
@@ -263,6 +275,17 @@ class TestGradients:
             mean = np.mean([g[k] for g in per_row], axis=0)
             assert np.allclose(before - after, mean, rtol=0.0, atol=1e-12)
 
+    def test_calls_return_arrays_that_share_no_memory(self):
+        rng = np.random.default_rng(20)
+        m = random_model(rng, (3, 5, 4, 1))
+        x = rng.normal(0, 1, 3)
+        first = sum(backprop_gradients(m, x, 0.5), [])
+        second = sum(backprop_gradients(m, x, -0.5), [])
+        params = m.weights + m.biases
+        for a in first:
+            assert not any(np.shares_memory(a, b) for b in second + params)
+        assert not any(np.array_equal(a, b) for a, b in zip(first, second))
+
 
 class TestFit:
     def test_zero_learning_rate_is_a_no_op(self):
@@ -281,10 +304,16 @@ class TestFit:
 
     def test_input_model_untouched(self):
         rng = np.random.default_rng(8)
-        m = init_model((2, 3, 1), seed=10)
-        before = [w.copy() for w in m.weights]
-        fit(m, rng.normal(0, 1, (6, 2)), rng.normal(0, 1, 6), epochs=3)
-        assert all(np.array_equal(a, b) for a, b in zip(m.weights, before))
+        m = random_model(rng, (2, 3, 1))
+        before = copy.deepcopy(m)
+        trained, _ = fit(m, rng.normal(0, 1, (6, 2)), rng.normal(0, 1, 6), epochs=3)
+        for a, b in zip(m.weights + m.biases, before.weights + before.biases):
+            assert np.array_equal(a, b)
+        assert np.array_equal(m.input_shift, before.input_shift)
+        assert np.array_equal(m.input_scale, before.input_scale)
+        assert (m.output_shift, m.output_scale) == (before.output_shift, before.output_scale)
+        for a in trained.weights + trained.biases:
+            assert not any(np.shares_memory(a, b) for b in m.weights + m.biases)
 
     def test_scalers_fitted_from_training_data(self):
         rng = np.random.default_rng(9)
@@ -340,6 +369,44 @@ class TestFit:
             gw, gb = backprop_gradients(manual, x[i], y[i])
             for p, g in zip(manual.weights + manual.biases, gw + gb):
                 p -= eta * g
+        for a, b in zip(trained.weights + trained.biases, manual.weights + manual.biases):
+            assert np.array_equal(a, b)
+
+    def test_full_batch_epoch_is_one_step_on_all_rows(self):
+        rng = np.random.default_rng(21)
+        m = random_model(rng, (3, 5, 4, 1))
+        x, y = rng.normal(0, 1, (9, 3)), rng.normal(0, 1, 9)
+        eta = 0.05
+        trained, _ = fit(
+            m, x, y, eta=eta, epochs=1, mode=TrainMode.FULL_BATCH_GD, fit_scalers=False
+        )
+        manual = copy.deepcopy(m)
+        xs = (x - m.input_shift) / m.input_scale
+        ys = (y - m.output_shift) / m.output_scale
+        gw, gb = _gradients(manual, xs, ys)
+        for p, g in zip(manual.weights + manual.biases, gw + gb):
+            p -= eta * g
+        for a, b in zip(trained.weights + trained.biases, manual.weights + manual.biases):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [23, 24])
+    def test_per_sample_epochs_match_a_per_array_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        m = random_model(rng, (3, 16, 16, 1))
+        x, y = rng.normal(0, 1, (7, 3)), rng.normal(0, 1, 7)
+        eta, epochs = 0.05, 3
+        trained, history = fit(m, x, y, eta=eta, epochs=epochs, seed=seed, fit_scalers=False)
+        manual, manual_history = copy.deepcopy(m), []
+        order = np.random.default_rng((seed, 202))
+        for _ in range(epochs):
+            for i in order.permutation(y.size):
+                gw, gb = backprop_gradients(manual, x[i], y[i])
+                for w, g in zip(manual.weights, gw):
+                    w -= eta * g
+                for b, g in zip(manual.biases, gb):
+                    b -= eta * g
+            manual_history.append(mse(predict_batch(manual, x), y))
+        assert history == manual_history
         for a, b in zip(trained.weights + trained.biases, manual.weights + manual.biases):
             assert np.array_equal(a, b)
 
@@ -476,6 +543,11 @@ class TestPersistence:
         assert back.clamp_bounds == model.clamp_bounds
         assert back.system_fingerprint == model.system_fingerprint
         assert back.metadata == model.metadata
+        for a, b in zip(back.weights + back.biases, model.weights + model.biases):
+            assert a.shape == b.shape and np.array_equal(a, b)
+        assert np.array_equal(back.input_shift, model.input_shift)
+        assert np.array_equal(back.input_scale, model.input_scale)
+        assert (back.output_shift, back.output_scale) == (model.output_shift, model.output_scale)
         rng = np.random.default_rng(15)
         x = rng.uniform(0, 1, (20, 3))
         assert np.array_equal(predict_batch(back, x), predict_batch(model, x))
