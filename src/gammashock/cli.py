@@ -412,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--quadrature-nodes",
         type=int,
-        help="override the damage-integral node count per shock count (default 32)",
+        help="override the damage-integral node count per shock count (default 32; "
+        "a damage law inside the headroom gets half as many Gauss-Hermite nodes, at most 128)",
     )
     parser = argparse.ArgumentParser(
         prog="gammashock",

@@ -8,9 +8,12 @@ configurable epsilon:
 
 where p_nh is the per-shock survival probability and S_m is the soft
 survival given m shocks: the gamma CDF convolved with the m-fold
-damage law over the window [0, H - u].  A window cut at the headroom
-H - u, where the integrand behaves like (H - u - y)^(alpha t), gets
-Gauss-Legendre nodes graded toward that end.  Given m shocks, shared
+damage law N(m mu, m sigma^2) over the window [0, H - u].  A law that
+lies wholly inside the window is integrated by Gauss-Hermite nodes,
+with no density to evaluate.  A window cut at 0 gets affine
+Gauss-Legendre nodes, and one cut at the headroom H - u, where the
+integrand behaves like (H - u - y)^(alpha t), gets Gauss-Legendre nodes
+graded toward that end.  Given m shocks, shared
 by all components, a series system is up if every component is, a
 parallel one if any is.  Series books the tail past M as failure,
 parallel as survival: the exact value lies within tail_epsilon above or
@@ -45,6 +48,7 @@ from .core import (
 )
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
+_MAX_HERMITE_NODES = 128  # hermegauss's weights overflow to NaN from about 400 nodes
 _MAX_TRUNCATION = 20_000  # shock counts; a grid holds that many rows per time and component
 _STACK_CACHE_SIZE = 64  # entries of a few to a few hundred KB each
 _BLOCK_COLUMNS = 32  # fewest time columns per gamma-CDF call, when there are that many
@@ -56,9 +60,14 @@ class QuadratureSpec:
 
     node_count      Gauss-Legendre nodes per shock count for the damage
                     convolution, graded toward the headroom where a window
-                    reaches it; 32 keep R within 1e-7 of a 512-node rule
+                    reaches it; an interior window gets node_count // 2
+                    Gauss-Hermite nodes (at most 128) instead; 32 keep R
+                    within 1e-7 of a 512-node rule
     tail_epsilon    Poisson mass allowed beyond the truncation level
-    domain_sigmas   half-width of the damage window in damage-sd units
+    domain_sigmas   half-width of the damage window in damage-sd units; a
+                    window is interior when this span and its Hermite nodes
+                    lie inside (0, H - u), and an interior window integrates
+                    the whole normal law, so there it decides nothing else
     """
 
     node_count: int = 32
@@ -80,6 +89,14 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 @lru_cache(maxsize=32)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
+
+
+@lru_cache(maxsize=32)
+def _hermegauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilists' Gauss-Hermite rule for the standard normal law: nodes
+    x_k and weights w_k / sqrt(2 pi), which sum to 1."""
+    nodes, weights = np.polynomial.hermite_e.hermegauss(n)
+    return nodes, weights / _SQRT_2PI
 
 
 def _column_levels(mu: np.ndarray, tail_epsilon: float, top: int) -> np.ndarray:
@@ -129,6 +146,7 @@ def _damage_stack(c: ComponentParams, u: float, max_m: int, q: QuadratureSpec):
     """
     head = c.soft_threshold - u
     nodes, gl_weights = _leggauss(q.node_count)
+    he_nodes, he_weights = _hermegauss(min(q.node_count // 2, _MAX_HERMITE_NODES))
     ys: list[np.ndarray] = []
     wds: list[np.ndarray] = []
     for m in range(max_m + 1):
@@ -140,8 +158,14 @@ def _damage_stack(c: ComponentParams, u: float, max_m: int, q: QuadratureSpec):
             wds.append(np.ones(1))
         else:
             sd = np.sqrt(law.variance)
-            lo = max(0.0, law.mean - q.domain_sigmas * sd)
-            hi = min(head, law.mean + q.domain_sigmas * sd)
+            lo = law.mean - q.domain_sigmas * sd
+            hi = law.mean + q.domain_sigmas * sd
+            y = law.mean + sd * he_nodes
+            if 0.0 < min(lo, y[0]) and max(hi, y[-1]) < head:  # interior: the whole law
+                ys.append(y)
+                wds.append(he_weights)
+                continue
+            lo, hi = max(0.0, lo), min(head, hi)
             if not hi > lo:
                 break
             if hi == head:  # graded toward the (H - u - y)^(alpha t) end

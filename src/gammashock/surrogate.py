@@ -77,7 +77,7 @@ def _thresholds(s: SystemModel) -> np.ndarray:
 def sigmoid(z):
     z = np.asarray(z, dtype=float)
     e = np.exp(-np.abs(z))  # never overflows, so no branch on the sign
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    return np.exp(np.minimum(z, 0.0)) / (1.0 + e)
 
 
 @dataclass
@@ -159,10 +159,14 @@ def forward(m: MlpModel, features) -> float:
     return float(predict_batch(m, x[None])[0])
 
 
+def _predict_scaled(m: MlpModel, xs: np.ndarray) -> np.ndarray:
+    """Predictions in target units for scaled rows xs (n, p)."""
+    return _activations(m, xs)[-1][:, 0] * m.output_scale + m.output_shift
+
+
 def predict_batch(m: MlpModel, features: np.ndarray) -> np.ndarray:
     """Predictions in target units for a feature matrix (n, p)."""
-    out = _activations(m, _scaled(m, features))[-1][:, 0]
-    return out * m.output_scale + m.output_shift
+    return _predict_scaled(m, _scaled(m, features))
 
 
 def mse(predictions, targets) -> float:
@@ -276,7 +280,7 @@ def fit(
         for i in rng.permutation(y.size) if per_sample else (0,):
             _gradients(work, xs[i:i + width], ys[i:i + width], out)
             theta -= eta * grad
-        epoch_mse = mse(predict_batch(work, x), y)
+        epoch_mse = mse(_predict_scaled(work, xs), y)
         history.append(epoch_mse)
         if not math.isfinite(epoch_mse) or epoch_mse > _DIVERGENCE_MSE:
             raise DivergenceError(
