@@ -2,9 +2,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 import time
 from dataclasses import replace
@@ -12,18 +9,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, default_config, load_config, state_sampler
+from .config import ExperimentConfig, default_config, dump_config, load_config, state_sampler
 from .core import Topology, as_levels
 from .optimize import (
     Dataset,
     NumericsError,
-    atomic_open,
     dataset_from_csv,
     dataset_to_csv,
     generate_dataset,
     optimal_inspection_time,
     split_dataset,
     system_fingerprint,
+    write_csv,
+    write_json,
 )
 from .reliability import _reliability_grid
 from .simulate import PolicyError, RngSeed, simulate_plan
@@ -38,15 +36,6 @@ from .surrogate import (
     save_model,
     train,
 )
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    with atomic_open(path) as fh:
-        fh.write(text)
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -101,32 +90,28 @@ def cmd_reliability(cfg: ExperimentConfig, args) -> int:
     grid = _parse_grid(args.t_grid)
     u = _parse_levels(args.u, s.n)
     r_sys, per_comp = _reliability_grid(s, grid, u, cfg.quadrature)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["t"] + [f"r_{i + 1}" for i in range(s.n)] + ["r_system"])
-    for j, t in enumerate(grid):
-        writer.writerow(
-            [_fmt(t)] + [_fmt(r[j]) for r in per_comp] + [_fmt(r_sys[j])]
-        )
     path = _out_dir(args) / "reliability.csv"
-    _write_atomic(path, buf.getvalue())
+    write_csv(
+        path,
+        ["t", *(f"r_{i + 1}" for i in range(s.n)), "r_system"],
+        np.column_stack([grid, *per_comp, r_sys]),
+    )
     print(f"wrote {path} ({grid.size} rows, topology={s.topology.value})")
     return 0
+
+
+def _solve(cfg: ExperimentConfig, u):
+    sv = cfg.solver
+    return optimal_inspection_time(
+        cfg.system, cfg.costs, u, sv.bounds, sv.tol, cfg.quadrature, sv.grid_points
+    )
 
 
 def cmd_optimize(cfg: ExperimentConfig, args) -> int:
     s = cfg.system
     u = _parse_levels(args.u, s.n)
     t0 = time.perf_counter()
-    sol = optimal_inspection_time(
-        s,
-        cfg.costs,
-        u,
-        cfg.solver.bounds,
-        cfg.solver.tol,
-        cfg.quadrature,
-        cfg.solver.grid_points,
-    )
+    sol = _solve(cfg, u)
     solve_ms = (time.perf_counter() - t0) * 1e3
     doc = {
         "tau_star": sol.tau_star,
@@ -137,7 +122,7 @@ def cmd_optimize(cfg: ExperimentConfig, args) -> int:
         "fingerprint": system_fingerprint(s, cfg.costs),
     }
     path = _out_dir(args) / "optimize.json"
-    _write_atomic(path, json.dumps(doc, indent=2) + "\n")
+    write_json(path, doc, indent=2)
     flag = " (boundary)" if sol.boundary else ""
     print(
         f"tau*={sol.tau_star:.6g} cost_rate={sol.cost_rate_star:.6g}{flag} "
@@ -205,10 +190,7 @@ def _write_model_outputs(out: Path, model: MlpModel, history) -> tuple[Path, Pat
     model_path = out / "model.json"
     save_model(model, model_path)
     hist_path = out / "loss_history.csv"
-    lines = ["epoch,train_mse"] + [
-        f"{i + 1},{_fmt(v)}" for i, v in enumerate(history)
-    ]
-    _write_atomic(hist_path, "\n".join(lines) + "\n")
+    write_csv(hist_path, ["epoch", "train_mse"], enumerate(history, 1))
     return model_path, hist_path
 
 
@@ -266,11 +248,9 @@ def _evaluate(cfg: ExperimentConfig, ds: Dataset, model: MlpModel):
 
 def _write_eval_outputs(out: Path, metrics: dict, fig) -> tuple[Path, Path]:
     metrics_path = out / "metrics.json"
-    _write_atomic(metrics_path, json.dumps(metrics, indent=2) + "\n")
+    write_json(metrics_path, metrics, indent=2)
     fig_path = out / "figure4.csv"
-    lines = ["scenario_id,split,tau_star,tau_pred"]
-    lines += [f"{sid},{split},{_fmt(ts)},{_fmt(tp)}" for sid, split, ts, tp in fig]
-    _write_atomic(fig_path, "\n".join(lines) + "\n")
+    write_csv(fig_path, ["scenario_id", "split", "tau_star", "tau_pred"], fig)
     return metrics_path, fig_path
 
 
@@ -328,15 +308,7 @@ def _make_policy(cfg: ExperimentConfig, args, out: Path):
     def solver_policy(u):
         key = tuple(float(v) for v in u)
         if key not in cache:
-            cache[key] = optimal_inspection_time(
-                cfg.system,
-                cfg.costs,
-                u,
-                cfg.solver.bounds,
-                cfg.solver.tol,
-                cfg.quadrature,
-                cfg.solver.grid_points,
-            ).tau_star
+            cache[key] = _solve(cfg, u).tau_star
         return cache[key]
 
     return solver_policy, "solver"
@@ -369,38 +341,26 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
     total = np.asarray([t.total_cost for t in traces])
     avail = np.asarray([t.availability for t in traces])
     rate = total / horizon
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
-        [
-            "policy",
-            "replications",
-            "horizon",
-            "mean_total_cost",
-            "sd_total_cost",
-            "mean_cost_rate",
-            "sd_cost_rate",
-            "mean_availability",
-            "sd_availability",
-        ]
-    )
-    writer.writerow(
-        [label, reps, _fmt(horizon)]
-        + [_fmt(v) for v in (total.mean(), total.std(ddof=1) if reps > 1 else 0.0)]
-        + [_fmt(v) for v in (rate.mean(), rate.std(ddof=1) if reps > 1 else 0.0)]
-        + [_fmt(v) for v in (avail.mean(), avail.std(ddof=1) if reps > 1 else 0.0)]
-    )
     summary_path = out / "simulate_summary.csv"
-    _write_atomic(summary_path, buf.getvalue())
-    traces_path = out / "traces.json"
-    _write_atomic(
-        traces_path,
-        json.dumps([t.to_dict() for t in traces], indent=1) + "\n",
+    stats = [x for v in (total, rate, avail)
+             for x in (v.mean(), v.std(ddof=1) if reps > 1 else 0.0)]
+    write_csv(
+        summary_path,
+        ["policy", "replications", "horizon", "mean_total_cost", "sd_total_cost",
+         "mean_cost_rate", "sd_cost_rate", "mean_availability", "sd_availability"],
+        [[label, reps, horizon, *stats]],
     )
+    traces_path = out / "traces.json"
+    write_json(traces_path, [t.to_dict() for t in traces], indent=1)
     print(
         f"wrote {summary_path} and {traces_path} "
         f"({label}, {reps} reps, mean cost rate {rate.mean():.4f})"
     )
+    return 0
+
+
+def cmd_config(cfg: ExperimentConfig, args) -> int:
+    print(dump_config(cfg), end="")
     return 0
 
 
@@ -459,6 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, help="override config horizon")
     p.add_argument("--replications", type=int, help="override config replications")
     p.set_defaults(func=cmd_simulate)
+
+    p = sub.add_parser("config", parents=[common], help="print the resolved config as JSON")
+    p.set_defaults(func=cmd_config)
     return parser
 
 

@@ -3,7 +3,7 @@
 The bundled default describes the reference three-component series
 system used throughout the docs and tests.  Print it with:
 
-    python -m gammashock.config > config.json
+    gammashock config > config.json
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from enum import Enum
 from typing import get_args, get_origin, get_type_hints
 
 from .core import ComponentParams, SystemModel, Topology
-from .optimize import CostParams, two_regime_state_sampler, uniform_state_sampler
+from .optimize import CostParams, _dump, two_regime_state_sampler, uniform_state_sampler
 from .reliability import QuadratureSpec, truncation_level
 from .surrogate import FeatureMode, TrainMode
 
@@ -237,14 +237,6 @@ def _load(tp, value, path: str):
     return value
 
 
-def _dump(value):
-    if is_dataclass(value):
-        return {f.name: _dump(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, tuple):
-        return [_dump(v) for v in value]
-    return value.value if isinstance(value, Enum) else value
-
-
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     return {"schema_version": SCHEMA_VERSION, **_dump(cfg)}
 
@@ -278,7 +270,3 @@ def load_config(path) -> ExperimentConfig:
 
 def dump_config(cfg: ExperimentConfig) -> str:
     return json.dumps(config_to_dict(cfg), indent=2) + "\n"
-
-
-if __name__ == "__main__":
-    print(dump_config(default_config()), end="")

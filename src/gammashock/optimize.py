@@ -27,7 +27,8 @@ import math
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass, fields, is_dataclass, replace
+from enum import Enum
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable
@@ -403,6 +404,18 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
+def _dump(value):
+    """The JSON form of a dataclass, field by field: tuples, lists and arrays
+    become lists and enums their values."""
+    if is_dataclass(value):
+        return {f.name: _dump(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [_dump(v) for v in value]
+    return value.value if isinstance(value, Enum) else value
+
+
 @contextmanager
 def atomic_open(path, newline=None):
     """Write `path` through a sibling temporary file that replaces it on success.
@@ -421,6 +434,27 @@ def atomic_open(path, newline=None):
         raise
 
 
+def write_json(path, doc, indent: int) -> None:
+    with atomic_open(path) as fh:
+        json.dump(doc, fh, indent=indent)
+        fh.write("\n")
+
+
+def write_csv(path, header, rows, comments=()) -> None:
+    """Write a CSV artifact: `# ` comment lines, the header, then the rows.
+
+    Lines end in LF and floats carry 9 significant digits.
+    """
+    with atomic_open(path, newline="") as fh:
+        fh.writelines(f"# {c}\n" for c in comments)
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(
+            [_fmt(v) if isinstance(v, float) else v for v in row]
+            for row in rows
+        )
+
+
 def dataset_to_csv(d: Dataset, path) -> None:
     """Write the dataset artifact; per-row timing stays out on purpose.
 
@@ -429,59 +463,43 @@ def dataset_to_csv(d: Dataset, path) -> None:
     instead of the dataset file.
     """
     n = len(d.scenarios[0].u) if d.scenarios else 0
-    with atomic_open(path, newline="") as fh:
-        fh.write("# gammashock dataset v1\n")
-        fh.write(f"# fingerprint={d.fingerprint}\n")
-        fh.write(f"# bounds={_fmt(d.bounds[0])},{_fmt(d.bounds[1])}\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["scenario_id"]
-            + [f"u_{i + 1}" for i in range(n)]
-            + ["tau_star", "cost_rate_star", "split"]
-        )
-        for sc in d.scenarios:
-            writer.writerow(
-                [sc.scenario_id]
-                + [_fmt(v) for v in sc.u]
-                + [_fmt(sc.tau_star), _fmt(sc.cost_rate_star), sc.split]
-            )
+    u_cols = [f"u_{i + 1}" for i in range(n)]
+    write_csv(
+        path,
+        ["scenario_id", *u_cols, "tau_star", "cost_rate_star", "split"],
+        ([sc.scenario_id, *sc.u, sc.tau_star, sc.cost_rate_star, sc.split]
+         for sc in d.scenarios),
+        ("gammashock dataset v1", f"fingerprint={d.fingerprint}",
+         f"bounds={_fmt(d.bounds[0])},{_fmt(d.bounds[1])}"),
+    )
 
 
 def dataset_from_csv(path) -> Dataset:
-    fingerprint = ""
-    bounds = DEFAULT_BOUNDS
-    rows = []
-    with open(path, newline="") as fh:
-        header: list[str] | None = None
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("fingerprint="):
-                    fingerprint = body.split("=", 1)[1]
-                elif body.startswith("bounds="):
-                    parts = body.split("=", 1)[1].split(",")
-                    bounds = (float(parts[0]), float(parts[1]))
-                continue
-            cells = next(csv.reader([line]))
-            if header is None:
-                header = cells
-                continue
-            rec = dict(zip(header, cells))
-            try:
-                rows.append(
-                    Scenario(
-                        scenario_id=int(rec["scenario_id"]),
-                        u=tuple(float(rec[k]) for k in header if k.startswith("u_")),
-                        tau_star=float(rec["tau_star"]),
-                        cost_rate_star=float(rec["cost_rate_star"]),
-                        split=rec.get("split", ""),
-                    )
-                )
-            except KeyError as exc:
-                raise ValueError(f"{path}: missing column {exc}") from None
-    if header is None:
+    """Read a dataset artifact, with LF or CRLF line ends."""
+    with open(path) as fh:
+        lines = [line for line in fh if line.strip()]
+    # comment lines carry key=value pairs; the rest is the table
+    meta = dict(line[1:].strip().partition("=")[::2] for line in lines if line.startswith("#"))
+    reader = csv.DictReader(line for line in lines if not line.startswith("#"))
+    if reader.fieldnames is None:
         raise ValueError(f"{path}: empty dataset file")
-    return Dataset(fingerprint, bounds, tuple(rows))
+    u_cols = [k for k in reader.fieldnames if k.startswith("u_")]
+    try:
+        rows = tuple(
+            Scenario(
+                scenario_id=int(rec["scenario_id"]),
+                u=tuple(float(rec[k]) for k in u_cols),
+                tau_star=float(rec["tau_star"]),
+                cost_rate_star=float(rec["cost_rate_star"]),
+                split=rec.get("split", ""),
+            )
+            for rec in reader
+        )
+        lo, hi = meta["bounds"].split(",") if "bounds" in meta else DEFAULT_BOUNDS
+        return Dataset(meta.get("fingerprint", ""), (lo, hi), rows)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing column {exc}") from None
+    except TypeError:  # csv.DictReader pads a short row with None
+        raise ValueError(f"{path}: a row has fewer cells than the header") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -19,14 +19,14 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
 from .core import SystemModel, as_levels
-from .optimize import Dataset, atomic_open, system_fingerprint
+from .optimize import Dataset, _dump, system_fingerprint, write_json
 
 MODEL_FORMAT_VERSION = 1
 _DIVERGENCE_MSE = 1e12
@@ -101,14 +101,24 @@ class MlpModel:
         ls = tuple(int(v) for v in self.layer_sizes)
         if len(ls) < 2 or any(v < 1 for v in ls) or ls[-1] != 1:
             raise ValueError("layer_sizes must be (inputs, hidden..., 1)")
-        object.__setattr__(self, "layer_sizes", ls)
+        self.layer_sizes = ls
         if len(self.weights) != len(ls) - 1 or len(self.biases) != len(ls) - 1:
             raise ValueError("one weight and bias array per layer required")
+        self.weights = [np.asarray(w, dtype=float) for w in self.weights]
+        self.biases = [np.asarray(b, dtype=float) for b in self.biases]
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.shape != (ls[l + 1], ls[l]) or b.shape != (ls[l + 1],):
                 raise ValueError(f"layer {l} arrays do not match layer_sizes")
         self.input_shift = np.asarray(self.input_shift, dtype=float)
         self.input_scale = np.asarray(self.input_scale, dtype=float)
+        self.output_shift = float(self.output_shift)
+        self.output_scale = float(self.output_scale)
+        self.feature_mode = FeatureMode(self.feature_mode)
+        if self.clamp_bounds is not None:
+            lo, hi = self.clamp_bounds
+            self.clamp_bounds = (float(lo), float(hi))
+        if not all(isinstance(f, str) for f in (self.system_fingerprint, self.dataset_fingerprint)):
+            raise ValueError("fingerprints must be strings")
         if self.input_shift.shape != (ls[0],) or self.input_scale.shape != (ls[0],):
             raise ValueError("input scaler must have one entry per feature")
         if np.any(self.input_scale == 0) or self.output_scale == 0:
@@ -334,55 +344,30 @@ def predict_next_inspection(m: MlpModel, s: SystemModel, u) -> float:
 
 
 def save_model(m: MlpModel, path) -> None:
-    doc = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "layer_sizes": list(m.layer_sizes),
-        "weights": [w.tolist() for w in m.weights],
-        "biases": [b.tolist() for b in m.biases],
-        "input_shift": m.input_shift.tolist(),
-        "input_scale": m.input_scale.tolist(),
-        "output_shift": m.output_shift,
-        "output_scale": m.output_scale,
-        "feature_mode": m.feature_mode.value,
-        "clamp_bounds": list(m.clamp_bounds) if m.clamp_bounds else None,
-        "system_fingerprint": m.system_fingerprint,
-        "dataset_fingerprint": m.dataset_fingerprint,
-        "metadata": m.metadata,
-    }
-    with atomic_open(path) as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    write_json(path, {"format_version": MODEL_FORMAT_VERSION, **_dump(m)}, indent=1)
 
 
 def load_model(path) -> MlpModel:
-    """Read a saved model; a malformed file is a ValueError naming it."""
-    with open(path) as fh:
-        text = fh.read()
+    """Read a saved model; a malformed file, or an unknown or missing key,
+    is a ValueError naming the file."""
     try:
-        doc = json.loads(text)
+        with open(path) as fh:
+            doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ValueError("expected a JSON object")
-        version = doc.get("format_version")
+        version = doc.pop("format_version", None)
         if version != MODEL_FORMAT_VERSION:
             raise ValueError(
                 f"unsupported model format_version {version!r}; "
                 f"this build reads version {MODEL_FORMAT_VERSION}"
             )
-        return MlpModel(
-            layer_sizes=tuple(doc["layer_sizes"]),
-            weights=[np.asarray(w, dtype=float) for w in doc["weights"]],
-            biases=[np.asarray(b, dtype=float) for b in doc["biases"]],
-            input_shift=np.asarray(doc["input_shift"], dtype=float),
-            input_scale=np.asarray(doc["input_scale"], dtype=float),
-            output_shift=float(doc["output_shift"]),
-            output_scale=float(doc["output_scale"]),
-            feature_mode=FeatureMode(doc["feature_mode"]),
-            clamp_bounds=tuple(doc["clamp_bounds"]) if doc.get("clamp_bounds") else None,
-            system_fingerprint=doc.get("system_fingerprint", ""),
-            dataset_fingerprint=doc.get("dataset_fingerprint", ""),
-            metadata=doc.get("metadata", {}),
-        )
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing key {exc}") from None
+        names = [f.name for f in fields(MlpModel)]
+        for key in doc:
+            if key not in names:
+                raise ValueError(f"unknown key {key!r}")
+        for key in names:
+            if key not in doc:
+                raise ValueError(f"missing key {key!r}")
+        return MlpModel(**doc)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None

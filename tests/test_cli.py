@@ -206,11 +206,15 @@ class TestDataPipelineCommands:
         bad = tmp_path / "model.json"
         args = ["evaluate", "--config", str(cfg_path), "--model", str(bad), "--out", str(out)]
         full = json.loads((out / "model.json").read_text())
+        unstamped = {k: v for k, v in full.items() if k != "dataset_fingerprint"}
         cases = (
             (json.dumps(doc), "'weights'"),
             ("[1]", "JSON object"),
             (json.dumps({**full, "feature_mode": "u_plus_params"}), "'u_plus_params'"),
             (json.dumps({**full, "output_shift": None}), "NoneType"),
+            (json.dumps({**unstamped, "dataset_fingerprnt": full["dataset_fingerprint"]}),
+             "unknown key 'dataset_fingerprnt'"),
+            (json.dumps(unstamped), "missing key 'dataset_fingerprint'"),
         )
         for text, names in cases:
             bad.write_text(text)
@@ -265,6 +269,20 @@ class TestPipelineCommand:
         for key in ("mean_solve_ms", "mean_inference_ms"):
             m1.pop(key), m2.pop(key)
         assert m1 == m2
+
+    def test_csv_artifacts_end_lines_in_lf(self, tmp_path):
+        cfg = small_run_config(tmp_path, simulate__replications=2)
+        out = tmp_path / "out"
+        for args in (["pipeline"], ["reliability"], ["simulate", "--policy", "fixed", "--tau", "4"]):
+            assert main(args + ["--config", str(cfg), "--out", str(out)]) == 0
+        names = sorted(p.name for p in out.glob("*.csv"))
+        assert names == [
+            "dataset.csv", "figure4.csv", "loss_history.csv", "reliability.csv",
+            "simulate_summary.csv",
+        ]
+        for name in names:
+            data = (out / name).read_bytes()
+            assert b"\r" not in data and data.endswith(b"\n"), name
 
 
 class TestSimulateCommand:

@@ -150,13 +150,14 @@ def test_sampler_dispatch(system):
         assert ok
 
 
-def test_module_prints_the_default_config():
+def test_config_verb_prints_the_default_config():
     out = subprocess.run(
-        [sys.executable, "-m", "gammashock.config"],
+        [sys.executable, "-m", "gammashock", "config"],
         capture_output=True,
         text=True,
         check=True,
     )
+    assert out.stderr == ""
     doc = json.loads(out.stdout)
     assert doc["schema_version"] == 1
     assert len(doc["system"]["components"]) == 3

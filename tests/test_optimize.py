@@ -451,6 +451,10 @@ class TestDatasetCsv:
             assert np.allclose(a.u, b.u, rtol=1e-8, atol=0.0)
             assert math.isclose(a.tau_star, b.tau_star, rel_tol=1e-8)
             assert math.isclose(a.cost_rate_star, b.cost_rate_star, rel_tol=1e-8)
+        # files written with CRLF row ends read the same
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert dataset_from_csv(crlf) == back
 
     def test_byte_stable(self, tmp_path):
         ds = synthetic_dataset(5)
@@ -477,6 +481,24 @@ class TestDatasetCsv:
         path.write_text("")
         with pytest.raises(ValueError):
             dataset_from_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, names",
+        [
+            ("# gammashock dataset v1\n\n", "empty dataset file"),
+            ("scenario_id,u_1,cost_rate_star\n0,1,20\n", "missing column 'tau_star'"),
+            ("scenario_id,u_1,tau_star,cost_rate_star\n0,x,4,20\n", "'x'"),
+            ("scenario_id,u_1,tau_star,cost_rate_star\n0,1\n", "fewer cells"),
+            ("# bounds=1\nscenario_id,u_1,tau_star,cost_rate_star\n0,1,4,20\n", "expected 2"),
+        ],
+        ids=["comments-only", "no-target-column", "non-numeric-cell", "short-row", "one-bound"],
+    )
+    def test_malformed_file_is_an_error_naming_it(self, tmp_path, text, names):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            dataset_from_csv(path)
+        assert str(path) in str(err.value) and names in str(err.value)
 
 
 class TestFingerprint:

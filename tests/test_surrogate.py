@@ -551,6 +551,9 @@ class TestPersistence:
         rng = np.random.default_rng(15)
         x = rng.uniform(0, 1, (20, 3))
         assert np.array_equal(predict_batch(back, x), predict_batch(model, x))
+        again = tmp_path / "again.json"
+        save_model(back, again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_save_is_byte_stable(self, system, tmp_path):
         ds = labeled_dataset(system)
