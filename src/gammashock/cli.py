@@ -165,9 +165,10 @@ def cmd_split(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
-def _check_fingerprint(cfg: ExperimentConfig, fingerprint: str, what: str) -> None:
-    if fingerprint and fingerprint != system_fingerprint(cfg.system, cfg.costs):
-        raise ValueError(f"{what} fingerprint does not match this config's system and costs")
+def _check_fingerprint(cfg: ExperimentConfig, fingerprint: str, what: str, path) -> None:
+    """Refuse an artifact stamped for another system or costs, or not stamped."""
+    if fingerprint != system_fingerprint(cfg.system, cfg.costs):
+        raise ValueError(f"{path}: {what} fingerprint {fingerprint!r} does not match the config")
 
 
 def _train(cfg: ExperimentConfig, ds: Dataset):
@@ -197,7 +198,7 @@ def _write_model_outputs(out: Path, model: MlpModel, history) -> tuple[Path, Pat
 def cmd_train(cfg: ExperimentConfig, args) -> int:
     path = Path(args.dataset) if args.dataset else _out_dir(args) / "dataset.csv"
     ds = dataset_from_csv(path)
-    _check_fingerprint(cfg, ds.fingerprint, "dataset")
+    _check_fingerprint(cfg, ds.fingerprint, "dataset", path)
     model, history = _train(cfg, ds)
     model_path, hist_path = _write_model_outputs(_out_dir(args), model, history)
     print(
@@ -259,10 +260,9 @@ def cmd_evaluate(cfg: ExperimentConfig, args) -> int:
     ds_path = Path(args.dataset) if args.dataset else out / "dataset.csv"
     model_path = Path(args.model) if args.model else out / "model.json"
     ds = dataset_from_csv(ds_path)
-    _check_fingerprint(cfg, ds.fingerprint, "dataset")
+    _check_fingerprint(cfg, ds.fingerprint, "dataset", ds_path)
     model = load_model(model_path)
-    if model.dataset_fingerprint and model.dataset_fingerprint != ds.fingerprint:
-        raise ValueError("model was trained on a different dataset")
+    _check_fingerprint(cfg, model.dataset_fingerprint, "model", model_path)
     metrics, fig = _evaluate(cfg, ds, model)
     metrics_path, fig_path = _write_eval_outputs(out, metrics, fig)
     print(
@@ -301,7 +301,7 @@ def _make_policy(cfg: ExperimentConfig, args, out: Path):
     if kind == "surrogate":
         model_path = Path(args.model) if args.model else out / "model.json"
         model = load_model(model_path)
-        _check_fingerprint(cfg, model.dataset_fingerprint, "model")
+        _check_fingerprint(cfg, model.dataset_fingerprint, "model", model_path)
         return (lambda u: predict_next_inspection(model, cfg.system, u)), "surrogate"
     cache: dict = {}
 

@@ -10,13 +10,13 @@ length tau, starting from the currently observed degradation levels u:
 Each component pays its replacement cost when it itself fails, so the
 replacement term uses per-component reliability; the downtime term uses
 the system reliability under the configured topology.  Both come from
-one reliability grid per evaluation.  cost_rate integrates with a
-32-node Gauss-Legendre rule over [0, tau].  The solver's scan prices its
-log-spaced taus from R_sys and R_i at the taus alone (plus one midpoint
-for the first panel, [0, tau_0]): each later interval is integrated in
-s = ln t, where the taus are uniform, with 6-point interpolatory weights.
-The tests hold it within 1e-6 relative of cost_rate.  The solver refines
-the argmin from those cost rates alone (Brent 1973, ch. 5; see _fit_minimum).
+one reliability grid per evaluation.  cost_rate integrates with 32
+Gauss-Legendre nodes over [0, tau], within 1e-6 relative of 256 nodes.
+The solver's one scan prices log-spaced taus from R_sys and R_i at the taus
+(plus a first-panel midpoint), integrating each later interval in s = ln t
+with 6-point interpolatory weights, within 1e-6 relative of cost_rate.
+tau* and CR* come from a fit to those cost rates alone (Brent 1973, ch. 5;
+see _fit_minimum), CR* within 1e-7 relative of a 256-node pricing.
 """
 from __future__ import annotations
 
@@ -84,6 +84,13 @@ def _check_pairing(s: SystemModel, costs: CostParams):
         raise ValueError(
             f"{len(costs.replacement_costs)} replacement costs for {s.n} components"
         )
+
+
+def _check_bounds(bounds, name: str) -> tuple[float, float]:
+    lo, hi = (float(v) for v in bounds)
+    if not 0 < lo < hi < math.inf:
+        raise ValueError(f"{name} must satisfy 0 < lo < hi < inf, got ({lo:g}, {hi:g})")
+    return lo, hi
 
 
 def _cost_rate_from(costs, taus, comps, downtime) -> np.ndarray:
@@ -168,10 +175,10 @@ def _scan(s, costs, grid, levels, q):
     return cum, _cost_rate_from(costs, grid, comps[:, 2:], cum)
 
 
-def _fit_minimum(grid, cr, i) -> float:
-    """Minimizer over [grid[i - 1], grid[i + 1]], clipped to the grid, of the
-    polynomial in offsets k - i of ln tau through cr on _log_time_rule's
-    stencil: a bracket end (as its grid point) or a real critical point."""
+def _fit_minimum(grid, cr, i) -> tuple[float, float]:
+    """(tau, value) at the minimum over [grid[i - 1], grid[i + 1]], clipped to the
+    grid, of the polynomial in offsets k - i of ln tau through cr on _log_time_rule's
+    stencil: tau is a bracket end (as its grid point) or a real critical point."""
     n = grid.size
     idx = _log_time_rule(n)[0][min(i, n - 2)]
     c = P.polyfit(idx - i, cr[idx], idx.size - 1)
@@ -179,7 +186,9 @@ def _fit_minimum(grid, cr, i) -> float:
     x = P.polyroots(P.polyder(c))
     x = x[(x.imag == 0) & (x.real > ends[0] - i) & (x.real < ends[1] - i)].real
     taus = np.concatenate((grid[ends], grid[i] * np.exp(math.log(grid[1] / grid[0]) * x)))
-    return float(taus[np.argmin(P.polyval(np.concatenate((ends - i, x)), c))])
+    values = P.polyval(np.concatenate((ends - i, x)), c)
+    best = int(np.argmin(values))
+    return float(taus[best]), float(values[best])
 
 
 @dataclass(frozen=True)
@@ -206,15 +215,13 @@ def optimal_inspection_time(
     points, 0 and half the first point, summing the downtime integral with
     a 6-point rule in log-time (see _scan).  The degree-5 polynomial in
     ln tau through the scanned cost rates around the argmin is minimized
-    over the argmin's two neighbouring intervals (see _fit_minimum).  That
-    tau and the best grid point are priced in one cost_rate_batch call,
-    only once when they coincide, and the cheaper one is reported.  tol is
-    only the boundary margin: a tau* within tol of either search bound is
-    flagged as a boundary solution.
+    over the argmin's two neighbouring intervals (see _fit_minimum): its
+    minimizer is tau*, and its value there is CR*, within 1e-7 relative of
+    the objective priced on a 256-node cost integral.  tol is only the
+    boundary margin: a tau* within tol of either search bound is flagged as
+    a boundary solution.
     """
-    lo, hi = float(bounds[0]), float(bounds[1])
-    if not (0 < lo < hi):
-        raise ValueError("bounds must satisfy 0 < tau_min < tau_max")
+    lo, hi = _check_bounds(bounds, "bounds")
     if not tol > 0:
         raise ValueError("tol must be > 0")
     if grid_points < 3:
@@ -225,13 +232,8 @@ def optimal_inspection_time(
     bad = ~np.isfinite(scan)
     if np.any(bad):
         raise NumericsError(f"non-finite cost rate at tau={grid[bad][0]:.6g}")
-    i = int(np.argmin(scan))
-    taus = np.unique([_fit_minimum(grid, scan, i), grid[i]])
-    priced = cost_rate_batch(s, costs, taus, levels, q)
-    best = int(np.argmin(priced))
-    tau_star, cr_star = taus[best], priced[best]
-    boundary = tau_star <= lo + tol or tau_star >= hi - tol
-    return TauSolution(float(tau_star), float(cr_star), bool(boundary))
+    tau_star, cr_star = _fit_minimum(grid, scan, int(np.argmin(scan)))
+    return TauSolution(tau_star, cr_star, tau_star <= lo + tol or tau_star >= hi - tol)
 
 
 @lru_cache(maxsize=64)
@@ -279,9 +281,7 @@ class Dataset:
 
     def __post_init__(self):
         object.__setattr__(self, "scenarios", tuple(self.scenarios))
-        object.__setattr__(
-            self, "bounds", (float(self.bounds[0]), float(self.bounds[1]))
-        )
+        object.__setattr__(self, "bounds", _check_bounds(self.bounds, "bounds"))
 
     def __len__(self) -> int:
         return len(self.scenarios)
@@ -377,7 +377,7 @@ def generate_dataset(
                 boundary=sol.boundary,
             )
         )
-    return Dataset(system_fingerprint(s, costs), (float(bounds[0]), float(bounds[1])), tuple(rows))
+    return Dataset(system_fingerprint(s, costs), bounds, rows)
 
 
 def split_dataset(d: Dataset, train_fraction: float, seed: int) -> Dataset:
@@ -495,8 +495,8 @@ def dataset_from_csv(path) -> Dataset:
             )
             for rec in reader
         )
-        lo, hi = meta["bounds"].split(",") if "bounds" in meta else DEFAULT_BOUNDS
-        return Dataset(meta.get("fingerprint", ""), (lo, hi), rows)
+        bounds = meta["bounds"].split(",") if "bounds" in meta else DEFAULT_BOUNDS
+        return Dataset(meta.get("fingerprint", ""), bounds, rows)
     except KeyError as exc:
         raise ValueError(f"{path}: missing column {exc}") from None
     except TypeError:  # csv.DictReader pads a short row with None

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import SystemModel, as_levels
-from .optimize import Dataset, _dump, system_fingerprint, write_json
+from .optimize import Dataset, _check_bounds, _dump, system_fingerprint, write_json
 
 MODEL_FORMAT_VERSION = 1
 _DIVERGENCE_MSE = 1e12
@@ -115,8 +115,7 @@ class MlpModel:
         self.output_scale = float(self.output_scale)
         self.feature_mode = FeatureMode(self.feature_mode)
         if self.clamp_bounds is not None:
-            lo, hi = self.clamp_bounds
-            self.clamp_bounds = (float(lo), float(hi))
+            self.clamp_bounds = _check_bounds(self.clamp_bounds, "clamp_bounds")
         if not all(isinstance(f, str) for f in (self.system_fingerprint, self.dataset_fingerprint)):
             raise ValueError("fingerprints must be strings")
         if self.input_shift.shape != (ls[0],) or self.input_scale.shape != (ls[0],):

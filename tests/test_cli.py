@@ -13,8 +13,10 @@ import pytest
 import gammashock
 from gammashock.cli import main
 from gammashock.config import config_to_dict, default_config
-from gammashock.optimize import cost_rate, dataset_from_csv, system_fingerprint
+from gammashock.optimize import dataset_from_csv, system_fingerprint
 from gammashock.surrogate import load_model
+
+from .test_optimize import CR_STAR_BUDGET, fine_cost_rate
 
 
 DROP = object()  # marks a key to delete in a config edit
@@ -97,8 +99,8 @@ class TestOptimizeCommand:
         assert 0.1 < doc["tau_star"] < 50.0
         assert not doc["boundary"]
         assert doc["fingerprint"] == system_fingerprint(cfg.system, cfg.costs)
-        got = cost_rate(cfg.system, cfg.costs, doc["tau_star"], doc["u"])
-        assert abs(doc["cost_rate_star"] - got) <= 1e-9
+        ref = fine_cost_rate(cfg.system, cfg.costs, doc["tau_star"], doc["u"])[0]
+        assert abs(doc["cost_rate_star"] / ref - 1.0) <= CR_STAR_BUDGET
 
     def test_worn_state_hits_the_ceiling(self, tmp_path):
         out = tmp_path / "out"
@@ -215,6 +217,7 @@ class TestDataPipelineCommands:
             (json.dumps({**unstamped, "dataset_fingerprnt": full["dataset_fingerprint"]}),
              "unknown key 'dataset_fingerprnt'"),
             (json.dumps(unstamped), "missing key 'dataset_fingerprint'"),
+            (json.dumps({**full, "clamp_bounds": [50, 0.1]}), "clamp_bounds must satisfy"),
         )
         for text, names in cases:
             bad.write_text(text)
@@ -238,6 +241,28 @@ class TestDataPipelineCommands:
         other = write_config(tmp_path, costs__inspection_cost=500.0)
         assert main(args + ["--config", str(other)]) == 2
         assert "model fingerprint" in capsys.readouterr().err
+
+    def test_simulate_refuses_a_model_with_an_empty_fingerprint(
+        self, trained_dir, tmp_path, capsys
+    ):
+        cfg_path, out = trained_dir
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps({**json.loads((out / "model.json").read_text()),
+                                   "dataset_fingerprint": ""}))
+        args = ["simulate", "--policy", "surrogate", "--replications", "1", "--model", str(bad)]
+        assert main(args + ["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "model fingerprint ''" in err
+
+    def test_train_refuses_a_dataset_without_a_fingerprint(self, trained_dir, tmp_path, capsys):
+        cfg_path, out = trained_dir
+        lines = (out / "dataset.csv").read_text().splitlines(keepends=True)
+        bad = tmp_path / "dataset.csv"
+        bad.write_text("".join(l for l in lines if not l.startswith("# fingerprint=")))
+        args = ["train", "--config", str(cfg_path), "--dataset", str(bad), "--out", str(tmp_path / "o")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "dataset fingerprint ''" in err
 
     def test_train_needs_a_split(self, tmp_path, capsys):
         cfg = small_run_config(tmp_path, dataset__n_scenarios=3)

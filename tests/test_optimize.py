@@ -1,6 +1,7 @@
 """Cost-rate objective, interval solver, scenario dataset plumbing."""
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +32,18 @@ from gammashock.optimize import (
 from .test_core import make_component
 
 COSTS_1 = CostParams(50.0, (200.0,), 10.0)
+CR_STAR_BUDGET = 1e-7  # solver's CR* against fine_cost_rate, relative
+COST_RATE_BUDGET = 1e-6  # cost_rate_batch against fine_cost_rate, relative
+
+
+def fine_cost_rate(s, costs, taus, u=None) -> np.ndarray:
+    """CR at taus with a 256-node cost integral: the reference for the
+    budgets of cost_rate_batch and of the solver's CR*."""
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    with mock.patch.object(gopt, "COST_INTEGRAL_NODES", 256):
+        return np.concatenate(  # chunked to bound memory at the parallel truncation level
+            [cost_rate_batch(s, costs, taus[k:k + 6], u) for k in range(0, taus.size, 6)]
+        )
 
 
 def nearly_static_system() -> SystemModel:
@@ -92,6 +105,18 @@ class TestCostRate:
         assert cost_rate(system, costs, 1e-3) > cost_rate(system, costs, 1.0)
         assert cost_rate(system, costs, 1e-3) > 1e4
 
+    @pytest.mark.parametrize(
+        "topology, rate", [(Topology.SERIES, 2.5e-3), (Topology.PARALLEL, 0.1)], ids=["series", "parallel"]
+    )
+    def test_within_budget_of_a_256_node_rule(self, system, costs, topology, rate):
+        s = replace(system, topology=topology, shock_rate=rate)
+        h = np.asarray([c.soft_threshold for c in s.components])
+        taus = np.geomspace(*DEFAULT_BOUNDS, 12)  # ends at 50, where the error peaks
+        for u in (np.zeros(s.n), 0.1 * h, 0.5 * h):
+            got = cost_rate_batch(s, costs, taus, u)
+            ref = fine_cost_rate(s, costs, taus, u)
+            assert np.max(np.abs(got / ref - 1.0)) <= COST_RATE_BUDGET, f"u={u}"
+
     def test_finite_on_dense_scan(self, system, costs):
         taus = np.geomspace(*DEFAULT_BOUNDS, 2000)
         vals = cost_rate_batch(system, costs, taus)
@@ -108,8 +133,9 @@ class TestSolver:
         vals = cost_rate_batch(system, costs, grid)
         _, scan = _scan(system, costs, grid, np.zeros(system.n), DEFAULT_QUADRATURE)
         assert np.max(np.abs(scan / vals - 1.0)) <= 1e-6
-        assert sol.cost_rate_star <= vals.min() + 1e-12
-        assert abs(cost_rate(system, costs, sol.tau_star) - sol.cost_rate_star) <= 1e-9
+        assert cost_rate(system, costs, sol.tau_star) <= vals.min() + 1e-12
+        ref = fine_cost_rate(system, costs, sol.tau_star)[0]
+        assert abs(sol.cost_rate_star / ref - 1.0) <= CR_STAR_BUDGET
         assert not sol.boundary
         assert DEFAULT_BOUNDS[0] < sol.tau_star < DEFAULT_BOUNDS[1]
 
@@ -233,13 +259,17 @@ class TestRefinement:
         s0 = math.log(self.GRID[k]) + shift * self.H
         cr = self.quintic(np.log(self.GRID), s0, self.H)
         assert cr[k] == cr[max(k - 1, 0):k + 2].min()  # the scan's argmin near s0
-        assert abs(_fit_minimum(self.GRID, cr, k) - math.exp(s0)) <= 1e-10
+        tau, value = _fit_minimum(self.GRID, cr, k)
+        assert abs(tau - math.exp(s0)) <= 1e-10
+        assert abs(value - 20.0) <= 1e-12
 
     @pytest.mark.parametrize("k, shift", [(0, -0.5), (199, 0.5)], ids=["first", "last"])
     def test_minimum_past_the_grid_returns_its_end(self, k, shift):
         s0 = math.log(self.GRID[k]) + shift * self.H
         cr = self.quintic(np.log(self.GRID), s0, self.H)
-        assert _fit_minimum(self.GRID, cr, k) == self.GRID[k]
+        tau, value = _fit_minimum(self.GRID, cr, k)
+        assert tau == self.GRID[k]
+        assert abs(value - cr[k]) <= 1e-12
 
     @pytest.mark.parametrize(
         "topology, rate", [(Topology.SERIES, 2.5e-3), (Topology.PARALLEL, 0.1)], ids=["series", "parallel"]
@@ -259,9 +289,11 @@ class TestRefinement:
             best = min(  # chunked to bound memory at the parallel truncation level
                 cost_rate_batch(s, costs, taus[k:k + 50], u).min() for k in range(0, taus.size, 50)
             )
-            assert sol.cost_rate_star <= best * (1.0 + 1e-10), f"u={np.round(u, 3)}"
+            assert cost_rate(s, costs, sol.tau_star, u) <= best * (1.0 + 1e-10), f"u={np.round(u, 3)}"
+            ref = fine_cost_rate(s, costs, sol.tau_star, u)[0]
+            assert abs(sol.cost_rate_star / ref - 1.0) <= CR_STAR_BUDGET, f"u={np.round(u, 3)}"
 
-    def test_a_solve_makes_one_scan_and_one_pricing(self, system, costs, half_levels, monkeypatch):
+    def test_a_solve_makes_one_scan_and_no_pricing(self, system, costs, half_levels, monkeypatch):
         grids, priced = [], []
         grid, batch = gopt._reliability_grid, gopt.cost_rate_batch
 
@@ -275,16 +307,12 @@ class TestRefinement:
 
         monkeypatch.setattr(gopt, "_reliability_grid", counted_grid)
         monkeypatch.setattr(gopt, "cost_rate_batch", recorded_batch)
-        sol = optimal_inspection_time(system, costs)
-        assert not sol.boundary
-        assert len(grids) == 2 and grids[0] == 202  # 0, grid[0] / 2 and the 200 taus
-        assert len(priced) == 1 and len(priced[0]) == 2
-        grids.clear()
-        priced.clear()
-        sol = optimal_inspection_time(system, costs, 1.6 * half_levels)
-        assert sol.boundary
-        assert len(grids) == 2
-        assert priced == [[DEFAULT_BOUNDS[1]]]
+        for u, boundary in ((None, False), (1.6 * half_levels, True)):
+            grids.clear()
+            sol = optimal_inspection_time(system, costs, u)
+            assert sol.boundary == boundary
+            assert grids == [202]  # 0, grid[0] / 2 and the 200 taus
+            assert priced == []
 
 
 class TestScanRule:
@@ -366,7 +394,8 @@ class TestGenerateDataset:
         for k, sc in enumerate(ds.scenarios):
             assert sc.scenario_id == k
             assert len(sc.u) == system.n
-            assert abs(sc.cost_rate_star - cost_rate(system, costs, sc.tau_star, sc.u)) <= 1e-9
+            ref = fine_cost_rate(system, costs, sc.tau_star, sc.u)[0]
+            assert abs(sc.cost_rate_star / ref - 1.0) <= CR_STAR_BUDGET
             assert sc.solve_ms > 0.0
             assert sc.split == ""
 
@@ -490,8 +519,11 @@ class TestDatasetCsv:
             ("scenario_id,u_1,tau_star,cost_rate_star\n0,x,4,20\n", "'x'"),
             ("scenario_id,u_1,tau_star,cost_rate_star\n0,1\n", "fewer cells"),
             ("# bounds=1\nscenario_id,u_1,tau_star,cost_rate_star\n0,1,4,20\n", "expected 2"),
+            ("# bounds=50,0.1\nscenario_id,u_1,tau_star,cost_rate_star\n0,1,4,20\n", "0 < lo < hi"),
+            ("# bounds=0.1,inf\nscenario_id,u_1,tau_star,cost_rate_star\n0,1,4,20\n", "0 < lo < hi"),
         ],
-        ids=["comments-only", "no-target-column", "non-numeric-cell", "short-row", "one-bound"],
+        ids=["comments-only", "no-target-column", "non-numeric-cell", "short-row", "one-bound",
+             "reversed-bounds", "infinite-bound"],
     )
     def test_malformed_file_is_an_error_naming_it(self, tmp_path, text, names):
         path = tmp_path / "bad.csv"
