@@ -14,6 +14,7 @@ from .core import Topology, as_levels
 from .optimize import (
     Dataset,
     NumericsError,
+    _fmt,
     dataset_from_csv,
     dataset_to_csv,
     generate_dataset,
@@ -26,7 +27,6 @@ from .optimize import (
 from .reliability import _reliability_grid
 from .simulate import PolicyError, RngSeed, simulate_plan
 from .surrogate import (
-    FeatureSpec,
     MlpModel,
     init_model,
     load_model,
@@ -165,26 +165,21 @@ def cmd_split(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
-def _check_fingerprint(cfg: ExperimentConfig, fingerprint: str, what: str, path) -> None:
-    """Refuse an artifact stamped for another system or costs, or not stamped."""
+def _check_artifact(cfg: ExperimentConfig, fingerprint: str, bounds, what: str, path) -> None:
+    """Refuse an artifact stamped for another system, costs or solver bounds,
+    or not stamped.  Bounds compare at the 9 digits that dataset.csv keeps."""
     if fingerprint != system_fingerprint(cfg.system, cfg.costs):
         raise ValueError(f"{path}: {what} fingerprint {fingerprint!r} does not match the config")
+    have, want = ("none" if b is None else f"({_fmt(b[0])}, {_fmt(b[1])})"
+                  for b in (bounds, cfg.solver.bounds))
+    if have != want:
+        raise ValueError(f"{path}: {what} bounds {have} do not match the solver bounds {want}")
 
 
 def _train(cfg: ExperimentConfig, ds: Dataset):
-    spec = FeatureSpec(cfg.surrogate.feature_mode)
-    sizes = (spec.feature_count(cfg.system), *cfg.surrogate.hidden_sizes, 1)
-    model0 = init_model(sizes, cfg.seed, cfg.surrogate.feature_mode)
-    return train(
-        model0,
-        ds,
-        cfg.system,
-        spec,
-        cfg.surrogate.learning_rate,
-        cfg.surrogate.epochs,
-        cfg.surrogate.mode,
-        cfg.seed,
-    )
+    sur = cfg.surrogate
+    model0 = init_model((cfg.system.n, *sur.hidden_sizes, 1), cfg.seed, sur.feature_mode)
+    return train(model0, ds, cfg.system, None, sur.learning_rate, sur.epochs, sur.mode, cfg.seed)
 
 
 def _write_model_outputs(out: Path, model: MlpModel, history) -> tuple[Path, Path]:
@@ -198,7 +193,7 @@ def _write_model_outputs(out: Path, model: MlpModel, history) -> tuple[Path, Pat
 def cmd_train(cfg: ExperimentConfig, args) -> int:
     path = Path(args.dataset) if args.dataset else _out_dir(args) / "dataset.csv"
     ds = dataset_from_csv(path)
-    _check_fingerprint(cfg, ds.fingerprint, "dataset", path)
+    _check_artifact(cfg, ds.fingerprint, ds.bounds, "dataset", path)
     model, history = _train(cfg, ds)
     model_path, hist_path = _write_model_outputs(_out_dir(args), model, history)
     print(
@@ -260,9 +255,9 @@ def cmd_evaluate(cfg: ExperimentConfig, args) -> int:
     ds_path = Path(args.dataset) if args.dataset else out / "dataset.csv"
     model_path = Path(args.model) if args.model else out / "model.json"
     ds = dataset_from_csv(ds_path)
-    _check_fingerprint(cfg, ds.fingerprint, "dataset", ds_path)
+    _check_artifact(cfg, ds.fingerprint, ds.bounds, "dataset", ds_path)
     model = load_model(model_path)
-    _check_fingerprint(cfg, model.dataset_fingerprint, "model", model_path)
+    _check_artifact(cfg, model.dataset_fingerprint, model.clamp_bounds, "model", model_path)
     metrics, fig = _evaluate(cfg, ds, model)
     metrics_path, fig_path = _write_eval_outputs(out, metrics, fig)
     print(
@@ -301,7 +296,7 @@ def _make_policy(cfg: ExperimentConfig, args, out: Path):
     if kind == "surrogate":
         model_path = Path(args.model) if args.model else out / "model.json"
         model = load_model(model_path)
-        _check_fingerprint(cfg, model.dataset_fingerprint, "model", model_path)
+        _check_artifact(cfg, model.dataset_fingerprint, model.clamp_bounds, "model", model_path)
         return (lambda u: predict_next_inspection(model, cfg.system, u)), "surrogate"
     cache: dict = {}
 

@@ -26,7 +26,7 @@ class SolverConfig:
     tau_min: float = 0.1
     tau_max: float = 50.0
     tol: float = 1e-4  # boundary margin: a tau* this close to a bound is flagged
-    grid_points: int = 200
+    grid_points: int = 100
 
     def __post_init__(self):
         if not 0 < self.tau_min < self.tau_max:

@@ -12,11 +12,11 @@ replacement term uses per-component reliability; the downtime term uses
 the system reliability under the configured topology.  Both come from
 one reliability grid per evaluation.  cost_rate integrates with 32
 Gauss-Legendre nodes over [0, tau], within 1e-6 relative of 256 nodes.
-The solver's one scan prices log-spaced taus from R_sys and R_i at the taus
-(plus a first-panel midpoint), integrating each later interval in s = ln t
-with 6-point interpolatory weights, within 1e-6 relative of cost_rate.
-tau* and CR* come from a fit to those cost rates alone (Brent 1973, ch. 5;
-see _fit_minimum), CR* within 1e-7 relative of a 256-node pricing.
+The solver's one scan prices 100 log-spaced taus from R_sys and R_i at the
+taus (and a first-panel midpoint), integrating each later interval in ln t
+with 10-point interpolatory weights, within 1e-6 relative of cost_rate.
+tau* and CR* come from a degree-9 fit to those cost rates (Brent 1973,
+ch. 5; see _fit_minimum), CR* within 1e-7 relative of a 256-node pricing.
 """
 from __future__ import annotations
 
@@ -48,7 +48,7 @@ from .reliability import (
 )
 
 COST_INTEGRAL_NODES = 32
-_STENCIL = 6  # grid points per interval in the scan's log-time rule
+_STENCIL = 10  # grid points per interval in the scan's log-time rule
 DEFAULT_BOUNDS = (0.1, 50.0)
 
 _STREAM_DATASET = 101
@@ -181,12 +181,13 @@ def _fit_minimum(grid, cr, i) -> tuple[float, float]:
     stencil: tau is a bracket end (as its grid point) or a real critical point."""
     n = grid.size
     idx = _log_time_rule(n)[0][min(i, n - 2)]
-    c = P.polyfit(idx - i, cr[idx], idx.size - 1)
+    half = (idx.size - 1) / 2  # offsets / half lie in about [-1, 1], where the fit keeps its digits
+    c = P.polyfit((idx - i) / half, cr[idx], idx.size - 1)
     ends = np.asarray([max(i - 1, 0), min(i + 1, n - 1)])
-    x = P.polyroots(P.polyder(c))
+    x = half * P.polyroots(P.polyder(c))
     x = x[(x.imag == 0) & (x.real > ends[0] - i) & (x.real < ends[1] - i)].real
     taus = np.concatenate((grid[ends], grid[i] * np.exp(math.log(grid[1] / grid[0]) * x)))
-    values = P.polyval(np.concatenate((ends - i, x)), c)
+    values = P.polyval(np.concatenate((ends - i, x)) / half, c)
     best = int(np.argmin(values))
     return float(taus[best]), float(values[best])
 
@@ -207,13 +208,13 @@ def optimal_inspection_time(
     bounds: tuple[float, float] = DEFAULT_BOUNDS,
     tol: float = 1e-4,
     q: QuadratureSpec = DEFAULT_QUADRATURE,
-    grid_points: int = 200,
+    grid_points: int = 100,
 ) -> TauSolution:
     """Minimize the cost rate over tau in [bounds[0], bounds[1]].
 
     One pass prices a log-spaced grid from the reliabilities at the grid
     points, 0 and half the first point, summing the downtime integral with
-    a 6-point rule in log-time (see _scan).  The degree-5 polynomial in
+    a 10-point rule in log-time (see _scan).  The degree-9 polynomial in
     ln tau through the scanned cost rates around the argmin is minimized
     over the argmin's two neighbouring intervals (see _fit_minimum): its
     minimizer is tau*, and its value there is CR*, within 1e-7 relative of
@@ -348,7 +349,7 @@ def generate_dataset(
     bounds: tuple[float, float] = DEFAULT_BOUNDS,
     tol: float = 1e-4,
     q: QuadratureSpec = DEFAULT_QUADRATURE,
-    grid_points: int = 200,
+    grid_points: int = 100,
 ) -> Dataset:
     """Sample states, solve each for tau*, and record solve wall times.
 

@@ -20,11 +20,11 @@ parallel as survival: the exact value lies within tail_epsilon above or
 below R.
 
 Each time t_j is truncated at its own level M_j, so a value does not
-depend on the other times in the call.  The damage windows for every m
-are stacked, and a component evaluates the gamma CDF on each time's
-prefix of that stack, in blocks of times sorted by level.  The stacks
-are memoized per (component, level, M) in a small bounded cache that
-the optimizer's repeated calls hit.  _reliability_grid builds each
+depend on the other times in the call.  The damage nodes for every m
+are stacked, one weight per node; a component evaluates the gamma CDF
+on each time's prefix of the stack, in blocks of times sorted by level,
+and sums each m's weighted segment.  Stacks are memoized per (component,
+level, M) in a small bounded cache.  _reliability_grid builds each
 component's alive factors once and returns both the system's and every
 component's reliability from them.
 """
@@ -50,7 +50,7 @@ from .core import (
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _MAX_HERMITE_NODES = 128  # hermegauss's weights overflow to NaN from about 400 nodes
 _MAX_TRUNCATION = 20_000  # shock counts; a grid holds that many rows per time and component
-_STACK_CACHE_SIZE = 64  # entries of a few to a few hundred KB each
+_STACK_CACHE_SIZE = 64  # entries of a few to a few tens of KB each
 _BLOCK_COLUMNS = 32  # fewest time columns per gamma-CDF call, when there are that many
 
 
@@ -137,9 +137,9 @@ def _damage_stack(c: ComponentParams, u: float, max_m: int, q: QuadratureSpec):
 
     Returns (ys, weights, ends, at_zero).  The m-th segment of ys,
     ending at ends[m], holds that convolution's integration nodes (one
-    node carrying weight 1 for a point mass).  weights[k, m] is node k's
-    weight in segment m and 0 outside it, so a prefix of ys and weights
-    serves every level up to max_m.  at_zero[m] is the t = 0 survival,
+    node carrying weight 1 for a point mass), and weights[k] is node k's
+    weight, one per node, so a prefix of both serves every level up to
+    max_m.  at_zero[m] is the t = 0 survival, segment m's weight sum:
     the plain window mass.  The stack stops before the first m whose
     damage mass lies beyond the headroom H - u > 0 (the window only moves
     further out as m grows), so S_m is 0 from there.
@@ -179,10 +179,8 @@ def _damage_stack(c: ComponentParams, u: float, max_m: int, q: QuadratureSpec):
             ys.append(y)
             wds.append(jac * gl_weights * dens)
     ends = list(accumulate(y.size for y in ys))
-    weights = np.zeros((ends[-1], len(ys)))
-    for m, (end, wd) in enumerate(zip(ends, wds)):
-        weights[end - wd.size:end, m] = wd
-    return np.concatenate(ys), weights, ends, weights.sum(axis=0)
+    weights = np.concatenate(wds)
+    return np.concatenate(ys), weights, ends, np.add.reduceat(weights, [0, *ends[:-1]])
 
 
 def _column_blocks(t: np.ndarray, levels: np.ndarray) -> list[tuple[np.ndarray, int]]:
@@ -217,8 +215,8 @@ def _soft_survival_grid(
         rows = min(rows, len(ends))
         p = ends[rows - 1]
         shape = (c.gamma_shape_rate * t[cols])[:, None]
-        g = gamma_cdf(head - ys[None, :p], shape, c.gamma_rate)
-        out[:rows, cols] = (g @ weights[:p, :rows]).T
+        g = gamma_cdf(head - ys[None, :p], shape, c.gamma_rate) * weights[:p]
+        out[:rows, cols] = np.add.reduceat(g, [0, *ends[:rows - 1]], axis=1).T
     return np.clip(out, 0.0, 1.0)
 
 

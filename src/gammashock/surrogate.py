@@ -3,11 +3,12 @@
 A small sigmoid-hidden, linear-output network is trained on solved
 scenarios so that planning amounts to one forward pass instead of a
 full cost-rate minimization.  Everything here is written out
-explicitly: initialization, one forward pass and one backpropagation
-over a batch of rows (a prediction or a per-sample SGD step is a batch
-of one row, a full-batch GD step is every training row).  fit keeps the
-weights and biases as views of one flat vector and has backpropagation
-write the gradients in that layout, so a step is one in-place update.
+explicitly: initialization, a one-row forward pass for predictions, and
+a forward pass and backpropagation over a batch of rows (a per-sample
+SGD step is one row, a full-batch GD step is every training row).  fit
+keeps the weights and biases as views of one flat vector and has
+backpropagation write the gradients in that layout, so a step is one
+in-place update.
 
 Weights W[l] have shape (fan_out, fan_in), so a layer maps rows A to
 sigmoid(A @ W.T + b).  Features are standardized by the stored input
@@ -161,11 +162,16 @@ def _scaled(m: MlpModel, features) -> np.ndarray:
 
 
 def forward(m: MlpModel, features) -> float:
-    """Network prediction in target units for one feature vector."""
-    x = np.asarray(features, dtype=float)
-    if x.shape != (m.layer_sizes[0],):
-        raise ValueError(f"expected {m.layer_sizes[0]} features, got {x.shape}")
-    return float(predict_batch(m, x[None])[0])
+    """Network prediction in target units for one feature vector: the
+    single-row pass, within rounding of predict_batch on that row."""
+    a = np.asarray(features, dtype=float)
+    if a.shape != (m.layer_sizes[0],):
+        raise ValueError(f"expected {m.layer_sizes[0]} features, got {a.shape}")
+    a = _scaled(m, a)
+    for w, b in zip(m.weights[:-1], m.biases[:-1]):
+        a = sigmoid(w.dot(a) + b)
+    out = m.weights[-1][0].dot(a) + m.biases[-1][0]  # linear output
+    return float(out) * m.output_scale + m.output_shift
 
 
 def _predict_scaled(m: MlpModel, xs: np.ndarray) -> np.ndarray:
@@ -336,7 +342,7 @@ def predict_next_inspection(m: MlpModel, s: SystemModel, u) -> float:
     """Surrogate recommendation, clamped to the solver's search bounds."""
     if m.system_fingerprint and m.system_fingerprint != system_fingerprint(s):
         raise ValueError("model was trained for a different system")
-    tau = forward(m, FeatureSpec(m.feature_mode).build(s, u))
+    tau = forward(m, as_levels(u, s.n) / _thresholds(s))
     if m.clamp_bounds is not None:
         tau = min(max(tau, m.clamp_bounds[0]), m.clamp_bounds[1])
     return float(tau)

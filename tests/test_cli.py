@@ -264,6 +264,28 @@ class TestDataPipelineCommands:
         err = capsys.readouterr().err
         assert str(bad) in err and "dataset fingerprint ''" in err
 
+    def test_artifacts_built_under_other_bounds_exit_2(self, trained_dir, tmp_path, capsys):
+        cfg_path, out = trained_dir
+        dataset, model = out / "dataset.csv", out / "model.json"
+        wide = small_run_config(tmp_path, solver__tau_max=100.0)
+        other_model = tmp_path / "model.json"
+        other_model.write_text(json.dumps({**json.loads(model.read_text()),
+                                           "clamp_bounds": [0.1, 100.0]}))
+        cases = (
+            (["simulate", "--config", str(wide), "--policy", "surrogate", "--replications", "1",
+              "--model", str(model)], model, "model bounds (0.1, 50) ", "(0.1, 100)"),
+            (["train", "--config", str(wide), "--dataset", str(dataset)],
+             dataset, "dataset bounds (0.1, 50) ", "(0.1, 100)"),
+            (["evaluate", "--config", str(wide), "--dataset", str(dataset), "--model", str(model)],
+             dataset, "dataset bounds (0.1, 50) ", "(0.1, 100)"),
+            (["evaluate", "--config", str(cfg_path), "--dataset", str(dataset),
+              "--model", str(other_model)], other_model, "model bounds (0.1, 100) ", "(0.1, 50)"),
+        )
+        for args, path, have, want in cases:
+            assert main([*args, "--out", str(tmp_path / "o")]) == 2, args[0]
+            err = capsys.readouterr().err
+            assert f"{path}: {have}" in err and f"solver bounds {want}" in err, err
+
     def test_train_needs_a_split(self, tmp_path, capsys):
         cfg = small_run_config(tmp_path, dataset__n_scenarios=3)
         out = tmp_path / "fresh"

@@ -417,7 +417,7 @@ class TestQuadratureBudget:
         s = replace(system, topology=topology, shock_rate=rate)
         rng = np.random.default_rng(11)
         sample = two_regime_state_sampler(s)
-        grid = np.geomspace(*DEFAULT_BOUNDS, 200)
+        grid = np.geomspace(*DEFAULT_BOUNDS, 100)
         for _ in range(4):
             assert _grid_error(s, grid, sample(rng)) <= 1e-10
 
@@ -475,8 +475,6 @@ class TestQuadratureBudget:
     def test_a_default_solve_leaves_scipy_linalg_unloaded(self):
         # scipy.linalg adds about 6 MB of resident memory; the quadrature
         # rules come from numpy, so a default solve never loads it
-        src = str(Path(gammashock.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         code = (
             "import sys\n"
             "from gammashock import default_config, optimal_inspection_time\n"
@@ -484,12 +482,42 @@ class TestQuadratureBudget:
             "optimal_inspection_time(c.system, c.costs)\n"
             "print('scipy.linalg' in sys.modules)\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-            capture_output=True, text=True, timeout=300,
+        assert _fresh_python(code) == "False"
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+    def test_stacks_stay_small_when_many_shock_counts_fit(self):
+        # small shock damage at a Poisson mean of 50 keeps 102 shock counts
+        # inside the headroom, and 25 solves from new states fill the stack
+        # cache; with a dense (nodes x counts) weight matrix per entry the
+        # process peaked at 154 MB.  The child reads its own peak, VmHWM:
+        # ru_maxrss would carry the test runner's across exec
+        code = (
+            "from dataclasses import replace\n"
+            "import numpy as np\n"
+            "from gammashock import default_config, optimal_inspection_time\n"
+            "c = default_config()\n"
+            "parts = tuple(replace(p, shock_damage_mean=0.2, shock_damage_sd=0.05)\n"
+            "              for p in c.system.components)\n"
+            "s = replace(c.system, components=parts, shock_rate=1.0)\n"
+            "h = np.asarray([p.soft_threshold for p in parts])\n"
+            "rng = np.random.default_rng(5)\n"
+            "for _ in range(25):\n"
+            "    optimal_inspection_time(s, c.costs, rng.uniform(0.0, 0.2 * h))\n"
+            "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
         )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert int(_fresh_python(code)) / 1024 < 100  # kB to MB
+
+
+def _fresh_python(code: str) -> str:
+    """stdout of `code` run in a new interpreter that imports this gammashock."""
+    src = str(Path(gammashock.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
 
 
 class TestRandomSystemProperties:

@@ -186,12 +186,13 @@ class TestForward:
             forward(m, [1.0, 2.0])
 
     def test_batch_matches_scalar(self):
+        # forward is its own one-row pass, so it may round differently
         rng = np.random.default_rng(3)
-        m = random_model(rng, (4, 5, 1))
-        x = rng.normal(0, 1, (10, 4))
-        batch = predict_batch(m, x)
-        for row, v in zip(x, batch):
-            assert abs(v - forward(m, row)) <= 1e-12
+        for sizes in [(4, 5, 1), (3, 16, 16, 1), (2, 7, 3, 4, 1), (3, 1)] * 5:
+            m = random_model(rng, sizes)
+            x = rng.normal(0, 1, (10, sizes[0]))
+            for row, v in zip(x, predict_batch(m, x)):
+                assert abs(forward(m, row) - v) <= 1e-12 * min(1.0, abs(v)), sizes
 
 
 class TestMetrics:
@@ -522,6 +523,15 @@ class TestPredictNextInspection:
         with pytest.raises(ValueError):
             predict_next_inspection(model, other, None)
         assert predict_next_inspection(model, system, None) == first
+
+    def test_matches_the_batch_path_on_states(self, system):
+        rng = np.random.default_rng(4)
+        h = np.asarray([c.soft_threshold for c in system.components])
+        for _ in range(5):
+            m = random_model(rng, (3, 16, 16, 1))
+            u = rng.uniform(0.0, 0.8 * h, (20, 3))
+            for row, v in zip(u, predict_batch(m, u / h)):
+                assert abs(predict_next_inspection(m, system, row) / v - 1.0) <= 1e-12
 
     def test_unstamped_model_predicts_raw(self, system):
         m = init_model((3, 4, 1), seed=2)
