@@ -367,8 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--quadrature-nodes",
         type=int,
-        help="override the damage-integral node count per shock count (default 32; "
-        "a damage law inside the headroom gets half as many Gauss-Hermite nodes, at most 128)",
+        help="override the damage-integral node count (default 32): per window cut at 0, and "
+        "once for all windows that reach the headroom; a damage law inside the headroom gets "
+        "3/8 as many Gauss-Hermite nodes, at most 128",
     )
     parser = argparse.ArgumentParser(
         prog="gammashock",

@@ -98,7 +98,7 @@ def as_levels(u: Sequence[float] | None, n: int) -> np.ndarray:
     arr = np.asarray(u, dtype=float)
     if arr.shape != (n,):
         raise ValueError(f"state has {arr.size} levels, system has {n} components")
-    if not ((arr >= 0).all() and np.isfinite(arr).all()):
+    if not all(0.0 <= v < math.inf for v in arr.tolist()):
         raise ValueError("degradation levels must be finite and >= 0")
     return arr
 

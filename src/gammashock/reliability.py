@@ -11,22 +11,24 @@ survival given m shocks: the gamma CDF convolved with the m-fold
 damage law N(m mu, m sigma^2) over the window [0, H - u].  A law that
 lies wholly inside the window is integrated by Gauss-Hermite nodes,
 with no density to evaluate.  A window cut at 0 gets affine
-Gauss-Legendre nodes, and one cut at the headroom H - u, where the
-integrand behaves like (H - u - y)^(alpha t), gets Gauss-Legendre nodes
-graded toward that end.  Given m shocks, shared
-by all components, a series system is up if every component is, a
-parallel one if any is.  Series books the tail past M as failure,
-parallel as survival: the exact value lies within tail_epsilon above or
-below R.
+Gauss-Legendre nodes.  Where the windows reach the headroom H - u, the
+integrand behaves like (H - u - y)^(alpha t): the first such window sets
+one set of Gauss-Legendre nodes graded toward that end, and it and
+every later window weight those shared nodes by their own density.
+Given m shocks, shared by all components, a series system is up if
+every component is, a parallel one if any is.  Series books the tail
+past M as failure, parallel as survival: the exact value lies within
+tail_epsilon above or below R.
 
 Each time t_j is truncated at its own level M_j, so a value does not
 depend on the other times in the call.  The damage nodes for every m
-are stacked, one weight per node; a component evaluates the gamma CDF
-on each time's prefix of the stack, in blocks of times sorted by level,
-and sums each m's weighted segment.  Stacks are memoized per (component,
-level, M) in a small bounded cache.  _reliability_grid builds each
-component's alive factors once and returns both the system's and every
-component's reliability from them.
+are stacked, the shared graded set last; a component evaluates the
+gamma CDF on each time's prefix of the stack, in blocks of times sorted
+by level, sums each window's weighted segment and takes the graded rows
+as one product with their weight matrix.  Stacks are memoized per
+(component, level, M) in a small bounded cache.  _reliability_grid
+builds each component's alive factors once and returns both the
+system's and every component's reliability from them.
 """
 from __future__ import annotations
 
@@ -58,11 +60,11 @@ _BLOCK_COLUMNS = 32  # fewest time columns per gamma-CDF call, when there are th
 class QuadratureSpec:
     """Numerical policy: damage-integral nodes, Poisson tail cut, window width.
 
-    node_count      Gauss-Legendre nodes per shock count for the damage
-                    convolution, graded toward the headroom where a window
-                    reaches it; an interior window gets node_count // 2
-                    Gauss-Hermite nodes (at most 128) instead; 32 keep R
-                    within 1e-7 of a 512-node rule
+    node_count      Gauss-Legendre nodes per damage window cut at 0, and
+                    once for all windows that reach the headroom, which
+                    share one set graded toward it; an interior window gets
+                    3 * node_count // 8 Gauss-Hermite nodes (1 to 128)
+                    instead; 32 keep R within 1e-7 of a 512-node rule
     tail_epsilon    Poisson mass allowed beyond the truncation level
     domain_sigmas   half-width of the damage window in damage-sd units; a
                     window is interior when this span and its Hermite nodes
@@ -88,6 +90,9 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 
 @lru_cache(maxsize=32)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    if n > 512:  # 8x faster than numpy's at 4,096 nodes, but it loads scipy.linalg
+        from scipy.special import roots_legendre
+        return roots_legendre(n)
     return np.polynomial.legendre.leggauss(n)
 
 
@@ -135,20 +140,23 @@ def _poisson_pmf_grid(shock_rate: float, t: np.ndarray, levels: np.ndarray) -> n
 def _damage_stack(c: ComponentParams, u: float, max_m: int, q: QuadratureSpec):
     """Stacked damage-convolution nodes for m = 0..max_m at level u.
 
-    Returns (ys, weights, ends, at_zero).  The m-th segment of ys,
-    ending at ends[m], holds that convolution's integration nodes (one
-    node carrying weight 1 for a point mass), and weights[k] is node k's
-    weight, one per node, so a prefix of both serves every level up to
-    max_m.  at_zero[m] is the t = 0 survival, segment m's weight sum:
-    the plain window mass.  The stack stops before the first m whose
-    damage mass lies beyond the headroom H - u > 0 (the window only moves
-    further out as m grows), so S_m is 0 from there.
+    Returns (ys, weights, ends, graded, at_zero).  Up to the first window
+    that reaches the headroom H - u, segment m of ys, ending at ends[m],
+    holds window m's nodes (one node carrying weight 1 for a point mass),
+    with one weight per node in weights.  That window sets one graded
+    node set, which ends ys; it and every later window weight the set by
+    their own density, one row of graded each.  at_zero[m] is the t = 0
+    survival, row m's weight sum.  The stack stops before the first m
+    whose damage mass lies beyond the headroom H - u > 0 (the window only
+    moves further out as m grows), so S_m is 0 from there.
     """
     head = c.soft_threshold - u
     nodes, gl_weights = _leggauss(q.node_count)
-    he_nodes, he_weights = _hermegauss(min(q.node_count // 2, _MAX_HERMITE_NODES))
+    he_nodes, he_weights = _hermegauss(min(max(3 * q.node_count // 8, 1), _MAX_HERMITE_NODES))
     ys: list[np.ndarray] = []
     wds: list[np.ndarray] = []
+    graded: list[np.ndarray] = []
+    shared = np.empty(0)
     for m in range(max_m + 1):
         law = damage_sum_distribution(c, m)
         if law.degenerate:
@@ -156,31 +164,35 @@ def _damage_stack(c: ComponentParams, u: float, max_m: int, q: QuadratureSpec):
                 break
             ys.append(np.asarray([law.mean]))
             wds.append(np.ones(1))
-        else:
-            sd = np.sqrt(law.variance)
-            lo = law.mean - q.domain_sigmas * sd
-            hi = law.mean + q.domain_sigmas * sd
-            y = law.mean + sd * he_nodes
-            if 0.0 < min(lo, y[0]) and max(hi, y[-1]) < head:  # interior: the whole law
-                ys.append(y)
-                wds.append(he_weights)
-                continue
-            lo, hi = max(0.0, lo), min(head, hi)
-            if not hi > lo:
-                break
-            if hi == head:  # graded toward the (H - u - y)^(alpha t) end
-                s = 0.5 * (nodes + 1.0)
-                y = head - (head - lo) * s ** 2
-                jac = (head - lo) * s
-            else:
-                y = 0.5 * (hi - lo) * (nodes + 1.0) + lo
-                jac = 0.5 * (hi - lo)
-            dens = np.exp(-0.5 * ((y - law.mean) / sd) ** 2) / (sd * _SQRT_2PI)
+            continue
+        sd = np.sqrt(law.variance)
+        lo = law.mean - q.domain_sigmas * sd
+        hi = law.mean + q.domain_sigmas * sd
+        y = law.mean + sd * he_nodes
+        if 0.0 < min(lo, y[0]) and max(hi, y[-1]) < head:  # interior: the whole law
             ys.append(y)
-            wds.append(jac * gl_weights * dens)
+            wds.append(he_weights)
+            continue
+        lo, hi = max(0.0, lo), min(head, hi)
+        if not hi > lo:
+            break
+        if hi == head:  # graded toward the (H - u - y)^(alpha t) end, set once
+            if not shared.size:
+                s = 0.5 * (nodes + 1.0)
+                shared, shared_w = head - (head - lo) * s ** 2, (head - lo) * s * gl_weights
+            graded.append(shared_w * _normal_pdf(shared, law.mean, sd))
+            continue
+        y = 0.5 * (hi - lo) * (nodes + 1.0) + lo
+        ys.append(y)
+        wds.append(0.5 * (hi - lo) * gl_weights * _normal_pdf(y, law.mean, sd))
     ends = list(accumulate(y.size for y in ys))
-    weights = np.concatenate(wds)
-    return np.concatenate(ys), weights, ends, np.add.reduceat(weights, [0, *ends[:-1]])
+    weights, graded = np.concatenate(wds), np.reshape(graded, (-1, q.node_count))
+    at_zero = np.concatenate([np.add.reduceat(weights, [0, *ends[:-1]]), graded.sum(axis=1)])
+    return np.concatenate([*ys, shared]), weights, ends, graded, at_zero
+
+
+def _normal_pdf(y: np.ndarray, mean: float, sd: float) -> np.ndarray:
+    return np.exp(-0.5 * ((y - mean) / sd) ** 2) / (sd * _SQRT_2PI)
 
 
 def _column_blocks(t: np.ndarray, levels: np.ndarray) -> list[tuple[np.ndarray, int]]:
@@ -209,14 +221,17 @@ def _soft_survival_grid(
     head = c.soft_threshold - u
     if head <= 0:
         return out
-    ys, weights, ends, at_zero = _damage_stack(c, u, top, q)
+    ys, weights, ends, graded, at_zero = _damage_stack(c, u, top, q)
     out[:at_zero.size, t == 0] = at_zero[:, None]
     for cols, rows in blocks:
-        rows = min(rows, len(ends))
-        p = ends[rows - 1]
+        rows = min(rows, at_zero.size)
+        flat = min(rows, len(ends))  # the rest weight the shared graded set
+        e = ends[flat - 1]
         shape = (c.gamma_shape_rate * t[cols])[:, None]
-        g = gamma_cdf(head - ys[None, :p], shape, c.gamma_rate) * weights[:p]
-        out[:rows, cols] = np.add.reduceat(g, [0, *ends[:rows - 1]], axis=1).T
+        g = gamma_cdf(head - ys[None, :e if rows == flat else None], shape, c.gamma_rate)
+        out[:flat, cols] = np.add.reduceat(g[:, :e] * weights[:e], [0, *ends[:flat - 1]], axis=1).T
+        if rows > flat:
+            out[flat:rows, cols] = graded[:rows - flat] @ g[:, e:].T
     return np.clip(out, 0.0, 1.0)
 
 

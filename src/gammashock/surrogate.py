@@ -25,6 +25,7 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import expit
 
 from .core import SystemModel, as_levels
 from .optimize import Dataset, _check_bounds, _dump, system_fingerprint, write_json
@@ -163,13 +164,13 @@ def _scaled(m: MlpModel, features) -> np.ndarray:
 
 def forward(m: MlpModel, features) -> float:
     """Network prediction in target units for one feature vector: the
-    single-row pass, within rounding of predict_batch on that row."""
+    single-row pass (expit sigmoid), within rounding of predict_batch."""
     a = np.asarray(features, dtype=float)
     if a.shape != (m.layer_sizes[0],):
         raise ValueError(f"expected {m.layer_sizes[0]} features, got {a.shape}")
     a = _scaled(m, a)
     for w, b in zip(m.weights[:-1], m.biases[:-1]):
-        a = sigmoid(w.dot(a) + b)
+        a = expit(w.dot(a) + b)
     out = m.weights[-1][0].dot(a) + m.biases[-1][0]  # linear output
     return float(out) * m.output_scale + m.output_shift
 

@@ -429,7 +429,7 @@ class TestQuadratureBudget:
 
     def test_interior_windows_use_hermite_nodes(self):
         # a damage law whose +-8 sd span lies inside (0, H - u) is integrated
-        # on node_count // 2 Gauss-Hermite nodes, all inside the headroom, and
+        # on 3 * node_count // 8 Gauss-Hermite nodes, all inside the headroom, and
         # matches a plain 4,096-node Gauss-Legendre rule over that span: 64
         # panels of 64 nodes, as one 4,096-node rule's weights are good only
         # to about 1e-13 (its mass is off by 1.5e-13 on these windows)
@@ -438,7 +438,7 @@ class TestQuadratureBudget:
         head = c.soft_threshold - u
         x, w = roots_legendre(64)
         x, w = (np.arange(64)[:, None] + 0.5 * (x + 1.0)).ravel() / 64, np.tile(w, 64) / 128
-        ys, _, ends, _ = _damage_stack(c, u, 20, q)
+        ys, _, ends, _, _ = _damage_stack(c, u, 20, q)
         interior = 0
         for m in range(1, len(ends)):
             mean, sd = m * c.shock_damage_mean, math.sqrt(m) * c.shock_damage_sd
@@ -446,7 +446,7 @@ class TestQuadratureBudget:
             if not 0.0 < lo < hi < head:
                 continue
             nodes = ys[ends[m - 1]:ends[m]]
-            assert nodes.size == q.node_count // 2
+            assert nodes.size == 3 * q.node_count // 8
             assert 0.0 < nodes.min() and nodes.max() < head
             y = lo + (hi - lo) * x
             dens = np.exp(-0.5 * ((y - mean) / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
@@ -456,6 +456,56 @@ class TestQuadratureBudget:
                 assert abs(soft_survival_given_m(c, t, u, m, q) - expect) <= 1e-13, (m, t)
             interior += 1
         assert interior == 9  # m = 2 to 10
+
+    def test_interior_windows_match_a_plain_rule_on_random_components(self):
+        # the same comparison over 300 random components with interior
+        # windows (637 windows), at 0.05, 0.5 and 2 wear lives (the time the
+        # mean wear takes to cover the headroom); 12 Hermite nodes err by up
+        # to 6.4e-12 here, 16 by 6.3e-15 and 8 by 3.5e-8
+        q = DEFAULT_QUADRATURE
+        x, w = roots_legendre(64)
+        x, w = (np.arange(64)[:, None] + 0.5 * (x + 1.0)).ravel() / 64, np.tile(w, 64) / 128
+        rng = np.random.default_rng(3)
+        worst, interior, components = 0.0, 0, 0
+        while components < 300:
+            h, a, b = rng.uniform(5, 30), rng.uniform(0.2, 5), rng.uniform(0.2, 3)
+            mu, sd1, u = (0.02 + 0.48 * rng.uniform()) * h, 0.3 * rng.uniform() * h, 0.9 * rng.uniform() * h
+            c = make_component(
+                soft_threshold=h, gamma_shape_rate=a, gamma_rate=b,
+                shock_damage_mean=mu, shock_damage_sd=sd1,
+            )
+            head = h - u
+            t = np.array([0.05, 0.5, 2.0]) * head * b / a
+            found = False
+            for m in range(1, 200):
+                mean, sd = m * mu, math.sqrt(m) * sd1
+                lo, hi = mean - q.domain_sigmas * sd, mean + q.domain_sigmas * sd
+                if lo >= head:
+                    break
+                if not 0.0 < lo < hi < head:
+                    continue
+                y = lo + (hi - lo) * x
+                dens = np.exp(-0.5 * ((y - mean) / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
+                expect = (hi - lo) * (w * dens) @ gamma_cdf(head - y[:, None], a * t, b)
+                got = [soft_survival_given_m(c, tk, u, m, q) for tk in t]
+                worst = max(worst, np.max(np.abs(got - expect)))
+                interior += 1
+                found = True
+            components += found
+        assert interior == 637
+        assert worst <= 1e-11
+
+    @pytest.mark.parametrize("index, first, shared", [(0, 6, 13), (2, 11, 2)])
+    def test_windows_reaching_the_headroom_share_one_graded_set(self, system, index, first, shared):
+        # at u = 0 with 25 shock counts, the counts from the first window
+        # that reaches H on weight one set of node_count graded nodes, which
+        # ends the stack; each window before it keeps its own segment
+        c, q = system.components[index], DEFAULT_QUADRATURE
+        ys, weights, ends, graded, at_zero = _damage_stack(c, 0.0, 25, q)
+        assert len(ends) == first and graded.shape == (shared, q.node_count)
+        assert ys.size == ends[-1] + q.node_count == weights.size + q.node_count
+        assert at_zero.size == first + shared
+        assert np.all(ys[ends[-1]:] <= c.soft_threshold) and np.all(graded >= 0.0)
 
     @pytest.mark.parametrize("nodes", [2, 3, 512, 4096])
     def test_extreme_node_counts_give_valid_reliability(self, system, nodes):

@@ -2,6 +2,7 @@
 import copy
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -532,6 +533,22 @@ class TestPredictNextInspection:
             u = rng.uniform(0.0, 0.8 * h, (20, 3))
             for row, v in zip(u, predict_batch(m, u / h)):
                 assert abs(predict_next_inspection(m, system, row) / v - 1.0) <= 1e-12
+
+    def test_none_means_new_parts(self, system):
+        m = random_model(np.random.default_rng(6), (3, 16, 16, 1))
+        assert predict_next_inspection(m, system, None) == predict_next_inspection(m, system, np.zeros(3))
+
+    @pytest.mark.parametrize("u, message", [
+        ([1.0, float("nan"), 2.0], "degradation levels must be finite and >= 0"),
+        ([1.0, float("inf"), 2.0], "degradation levels must be finite and >= 0"),
+        (np.asarray([1.0, -0.5, 2.0]), "degradation levels must be finite and >= 0"),
+        ([1.0, 2.0], "state has 2 levels, system has 3 components"),
+        (np.zeros((1, 3)), "state has 3 levels, system has 3 components"),
+    ])
+    def test_bad_levels_raise_the_level_check_message(self, system, u, message):
+        m = random_model(np.random.default_rng(6), (3, 16, 16, 1))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            predict_next_inspection(m, system, u)
 
     def test_unstamped_model_predicts_raw(self, system):
         m = init_model((3, 4, 1), seed=2)
