@@ -137,10 +137,13 @@ def simulate_plan(
     and every failed component is replaced as good as new at the next
     visit.  Inspections past the horizon are clipped to it.
 
-    Wear is drawn in one gamma call per shock-free run of subgrid steps,
-    in the stream order of one call per step, so traces are bit-identical
-    to a step-by-step loop.  An interval that, repeated, would take the
-    run past _MAX_VISITS visits raises PolicyError before it is simulated.
+    Each interval draws its shock count and shock instants, then the
+    wear of every step between offsets in one gamma call (step by step,
+    component by component), then, if it holds a shock, every shock's
+    magnitude and damage in one normal call (shock by shock, component
+    by component).  A shock-free interval makes no normal call.  An
+    interval that, repeated, would take the run past _MAX_VISITS visits
+    raises PolicyError before it is simulated.
     """
     _check_pairing(s, costs)
     if not 0 < horizon < math.inf:
@@ -178,26 +181,19 @@ def simulate_plan(
         order = np.argsort(offsets, kind="stable")
         offsets, is_shock = offsets[order], is_shock[order]
 
-        steps = np.diff(offsets, prepend=0.0)
-        worn = steps > 0
-        rows = [levels[None, :]]
+        # a zero step (a shock tied with another offset) has shape 0, which
+        # yields 0 and consumes no draw
+        increments = rng.gamma(shapes * np.diff(offsets, prepend=0.0)[:, None], scales)
         lethal = np.zeros((offsets.size, s.n), dtype=bool)
-        start = 0  # each run of steps ends at a shock or at the interval's end
-        for end in [*np.flatnonzero(is_shock[:-1]), offsets.size - 1]:
-            run = steps[start : end + 1][worn[start : end + 1]]
-            if run.size:
-                rows.append(rng.gamma(shapes * run[:, None], scales))
-            if is_shock[end]:
-                w, y = rng.normal(shock_loc, shock_sd).T
-                lethal[end] = w >= hard_limits
-                rows.append(np.maximum(y, 0.0)[None, :])
-            start = end + 1
-        states = np.cumsum(np.concatenate(rows), axis=0)
-        closing = np.cumsum(worn.astype(int) + is_shock)
+        if n_shocks:
+            w, y = np.moveaxis(rng.normal(shock_loc, shock_sd, (n_shocks, s.n, 2)), -1, 0)
+            lethal[is_shock] = w >= hard_limits
+            increments[is_shock] += np.maximum(y, 0.0)
+        states = np.cumsum(np.concatenate([levels[None, :], increments]), axis=0)
         # each component's first soft crossing and lethal shock; offsets.size if none
         soft_first, hard_first = (
             np.where(m.any(axis=0), m.argmax(axis=0), offsets.size)
-            for m in (states[closing] >= soft_limits, lethal)
+            for m in (states[1:] >= soft_limits, lethal)
         )
         fail_at = np.append(t_now + offsets, np.inf)[np.minimum(soft_first, hard_first)]
         failed = np.isfinite(fail_at)

@@ -22,7 +22,8 @@ from .test_optimize import nearly_static_system
 
 
 def _stepwise_simulate_plan(s, costs, policy, horizon, seed, u0=None, subgrid_steps=32):
-    """Reference: simulate_plan with one wear draw per subgrid step."""
+    """Reference: simulate_plan with one gamma call per subgrid step, then one
+    normal call each for magnitude and damage, per shock and per component."""
     rng = seed.generator()
     levels = as_levels(u0, s.n).copy()
     shapes = np.asarray([c.gamma_shape_rate for c in s.components])
@@ -43,22 +44,29 @@ def _stepwise_simulate_plan(s, costs, policy, horizon, seed, u0=None, subgrid_st
         order = np.argsort(offsets, kind="stable")
         offsets, is_shock = offsets[order], is_shock[order]
 
+        wear = [
+            rng.gamma(shapes * step, scales) if step > 0 else np.zeros(s.n)
+            for step in np.diff(offsets, prepend=0.0)
+        ]
+        marks = iter([
+            [
+                (rng.normal(c.shock_magnitude_mean, c.shock_magnitude_sd),
+                 rng.normal(c.shock_damage_mean, c.shock_damage_sd))
+                for c in s.components
+            ]
+            for _ in range(n_shocks)
+        ])
         fail_at = np.full(s.n, np.inf)
         hard_now = []
-        prev = 0.0
-        for off, shock in zip(offsets, is_shock):
-            step = off - prev
-            prev = off
-            if step > 0:
-                levels += rng.gamma(shapes * step, scales)
+        for off, shock, step_wear in zip(offsets, is_shock, wear):
+            increment = step_wear.copy()
             if shock:
-                for i, c in enumerate(s.components):
-                    w = rng.normal(c.shock_magnitude_mean, c.shock_magnitude_sd)
-                    y = max(rng.normal(c.shock_damage_mean, c.shock_damage_sd), 0.0)
-                    levels[i] += y
+                for i, (c, (w, y)) in enumerate(zip(s.components, next(marks))):
+                    increment[i] += max(y, 0.0)
                     if w >= c.hard_threshold and fail_at[i] == np.inf:
                         fail_at[i] = t_now + off
                         hard_now.append(i)
+            levels += increment
             fail_at[(levels >= soft_limits) & (fail_at == np.inf)] = t_now + off
 
         failed = np.isfinite(fail_at)

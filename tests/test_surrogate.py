@@ -26,7 +26,6 @@ from gammashock.surrogate import (
     predict_next_inspection,
     r_squared,
     save_model,
-    sigmoid,
     train,
     training_loss,
 )
@@ -53,6 +52,22 @@ def random_model(rng: np.random.Generator, layer_sizes) -> MlpModel:
     return m
 
 
+def mirrored_model(out_weights) -> MlpModel:
+    """One input z, hidden units sigmoid(z) and sigmoid(-z), output their
+    out_weights-weighted sum (zero biases, identity scalers)."""
+    m = init_model((1, 2, 1), seed=0)
+    m.weights[0][:] = [[1.0], [-1.0]]
+    m.weights[1][:] = [out_weights]
+    return m
+
+
+def both_passes(m: MlpModel, zs):
+    """Predictions for inputs zs from forward, row by row, and from predict_batch."""
+    zs = np.asarray(zs, dtype=float)
+    yield np.asarray([forward(m, [z]) for z in zs])
+    yield predict_batch(m, zs[:, None])
+
+
 class TestFeatureSpec:
     def test_feature_count(self, system):
         assert FeatureSpec(FeatureMode.U_ONLY).feature_count(system) == 3
@@ -74,31 +89,29 @@ class TestFeatureSpec:
 
 
 class TestSigmoid:
+    """The hidden layers' sigmoid, seen through forward and predict_batch."""
+
     def test_midpoint(self):
-        assert sigmoid(0.0) == 0.5
+        for out in both_passes(mirrored_model([1.0, 0.0]), [0.0]):
+            assert out[0] == 0.5
 
     def test_matches_logistic(self):
-        for z in (-3.0, -0.5, 0.7, 4.0):
-            assert abs(sigmoid(z) - 1.0 / (1.0 + math.exp(-z))) <= 1e-15
+        zs = [-3.0, -0.5, 0.7, 4.0]
+        ref = [1.0 / (1.0 + math.exp(-z)) for z in zs]
+        for out in both_passes(mirrored_model([1.0, 0.0]), zs):
+            assert np.all(np.abs(out - ref) <= 1e-15)
 
     def test_symmetry(self):
-        zs = np.linspace(-20, 20, 41)
-        assert np.allclose(sigmoid(zs) + sigmoid(-zs), 1.0, atol=1e-15)
+        # the output is sigmoid(z) + sigmoid(-z)
+        for out in both_passes(mirrored_model([1.0, 1.0]), np.linspace(-20, 20, 41)):
+            assert np.allclose(out, 1.0, atol=1e-15)
 
     def test_extreme_inputs_stay_finite(self):
-        out = sigmoid(np.asarray([-800.0, 800.0]))
-        assert np.all(np.isfinite(out))
-        assert np.all((out >= 0.0) & (out <= 1.0))
-
-    def test_bit_equal_to_the_two_branch_formula(self):
-        rng = np.random.default_rng(16)
-        special = [-800.0, 800.0, 0.0, -0.0, np.inf, -np.inf, np.nan]
-        z = np.concatenate([special, rng.normal(0, 30, 1000), rng.uniform(-1, 1, 100)])
-        with np.errstate(over="ignore", invalid="ignore"):
-            pos = 1.0 / (1.0 + np.exp(-z))
-            neg = np.exp(z) / (1.0 + np.exp(z))
-        ref = np.where(z >= 0, pos, neg)
-        assert np.array_equal(sigmoid(z), ref, equal_nan=True)
+        # hidden pre-activations reach -800 and 800 without an overflow warning
+        for out in both_passes(mirrored_model([1.0, 0.0]), [-800.0, 800.0]):
+            assert np.array_equal(out, [0.0, 1.0])
+        for out in both_passes(mirrored_model([1.0, 1.0]), [-800.0, 800.0]):
+            assert np.array_equal(out, [1.0, 1.0])
 
 
 class TestInitModel:
