@@ -10,8 +10,8 @@ where p_nh is the per-shock survival probability and S_m is the soft
 survival given m shocks: the gamma CDF convolved with the m-fold
 damage law N(m mu, m sigma^2) over the window [0, H - u].  A law that
 lies wholly inside the window is integrated by Gauss-Hermite nodes,
-with no density to evaluate.  A window cut at 0 gets affine
-Gauss-Legendre nodes.  Where the windows reach the headroom H - u, the
+with no density to evaluate, and one cut only at 0 by a Gauss rule for
+the law above 0.  Where the windows reach the headroom H - u, the
 integrand behaves like (H - u - y)^(alpha t): the first such window sets
 one set of Gauss-Legendre nodes graded toward that end, and it and
 every later window weight those shared nodes by their own density.
@@ -25,10 +25,10 @@ depend on the other times in the call.  The damage nodes for every m
 are stacked, the shared graded set last; a component evaluates the
 gamma CDF on each time's prefix of the stack, in blocks of times sorted
 by level, sums each window's weighted segment and takes the graded rows
-as one product with their weight matrix.  Stacks are memoized per
-(component, level, M) in a small bounded cache.  _reliability_grid
-builds each component's alive factors once and returns both the
-system's and every component's reliability from them.
+as one product with their weight matrix, skipping times where a Chernoff
+bound puts every S_m below 2^-60.  Stacks are memoized per (component,
+level, M), a grid's pmf and blocks per grid.  _reliability_grid returns the
+system's and every component's reliability from one set of alive factors.
 """
 from __future__ import annotations
 
@@ -60,16 +60,16 @@ _BLOCK_COLUMNS = 32  # fewest time columns per gamma-CDF call, when there are th
 class QuadratureSpec:
     """Numerical policy: damage-integral nodes, Poisson tail cut, window width.
 
-    node_count      Gauss-Legendre nodes per damage window cut at 0, and
-                    once for all windows that reach the headroom, which
-                    share one set graded toward it; an interior window gets
-                    3 * node_count // 8 Gauss-Hermite nodes (1 to 128)
-                    instead; 32 keep R within 1e-7 of a 512-node rule
+    node_count      graded Gauss-Legendre nodes shared by the damage windows
+                    that reach the headroom; an interior window gets
+                    3 * node_count // 8 Gauss-Hermite nodes and one cut at 0
+                    a node_count // 2-node rule for the law above 0 (1 to
+                    128 each); 32 keep R within 1e-7 of a 512-node rule
     tail_epsilon    Poisson mass allowed beyond the truncation level
     domain_sigmas   half-width of the damage window in damage-sd units; a
                     window is interior when this span and its Hermite nodes
-                    lie inside (0, H - u), and an interior window integrates
-                    the whole normal law, so there it decides nothing else
+                    lie inside (0, H - u); an interior window integrates
+                    the whole normal law and one cut at 0 all of it above 0
     """
 
     node_count: int = 32
@@ -102,6 +102,29 @@ def _hermegauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     x_k and weights w_k / sqrt(2 pi), which sum to 1."""
     nodes, weights = np.polynomial.hermite_e.hermegauss(n)
     return nodes, weights / _SQRT_2PI
+
+
+@lru_cache(maxsize=256)
+def _cut_normal_gauss(a: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-node Gauss rule for the standard normal law on [a, inf): nodes x_k > a,
+    weights summing to P(Z > a).  Lanczos with full reorthogonalization on a
+    Gauss-Legendre discretization of [a, max(a, 0) + 9] gives the Jacobi matrix
+    (Golub & Welsch 1969; Gautschi 2004, 2.2)."""
+    x, w = _leggauss(max(256, 4 * n))
+    half = 0.5 * (max(a, 0.0) + 9.0 - a)
+    x = a + half * (x + 1.0)
+    w = half * w * _normal_pdf(x, 0.0, 1.0)
+    basis, alpha, beta = np.zeros((n + 1, x.size)), np.empty(n), np.empty(n)
+    basis[0] = np.sqrt(w / w.sum())
+    for k in range(n):
+        v = x * basis[k]
+        alpha[k] = basis[k] @ v
+        for _ in range(2):  # one pass loses orthogonality on these steeply falling weights
+            v -= basis.T @ (basis @ v)
+        beta[k] = np.linalg.norm(v)
+        basis[k + 1] = v / beta[k]
+    nodes, vectors = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], -1))
+    return nodes, w.sum() * vectors[0] ** 2
 
 
 def _column_levels(mu: np.ndarray, tail_epsilon: float, top: int) -> np.ndarray:
@@ -153,9 +176,8 @@ def _damage_stack(c: ComponentParams, u: float, max_m: int, q: QuadratureSpec):
     head = c.soft_threshold - u
     nodes, gl_weights = _leggauss(q.node_count)
     he_nodes, he_weights = _hermegauss(min(max(3 * q.node_count // 8, 1), _MAX_HERMITE_NODES))
-    ys: list[np.ndarray] = []
-    wds: list[np.ndarray] = []
-    graded: list[np.ndarray] = []
+    cut_count = min(max(q.node_count // 2, 1), _MAX_HERMITE_NODES)
+    ys, wds, graded = [], [], []  # node arrays, their weights, rows of graded weights
     shared = np.empty(0)
     for m in range(max_m + 1):
         law = damage_sum_distribution(c, m)
@@ -166,8 +188,7 @@ def _damage_stack(c: ComponentParams, u: float, max_m: int, q: QuadratureSpec):
             wds.append(np.ones(1))
             continue
         sd = np.sqrt(law.variance)
-        lo = law.mean - q.domain_sigmas * sd
-        hi = law.mean + q.domain_sigmas * sd
+        lo, hi = law.mean - q.domain_sigmas * sd, law.mean + q.domain_sigmas * sd
         y = law.mean + sd * he_nodes
         if 0.0 < min(lo, y[0]) and max(hi, y[-1]) < head:  # interior: the whole law
             ys.append(y)
@@ -182,6 +203,12 @@ def _damage_stack(c: ComponentParams, u: float, max_m: int, q: QuadratureSpec):
                 shared, shared_w = head - (head - lo) * s ** 2, (head - lo) * s * gl_weights
             graded.append(shared_w * _normal_pdf(shared, law.mean, sd))
             continue
+        if lo == 0.0:  # cut at 0 only: the law above 0, unless a node would pass H - u
+            x, w = _cut_normal_gauss(-law.mean / sd, cut_count)
+            if law.mean + sd * x[-1] < head:
+                ys.append(law.mean + sd * x)
+                wds.append(w)
+                continue
         y = 0.5 * (hi - lo) * (nodes + 1.0) + lo
         ys.append(y)
         wds.append(0.5 * (hi - lo) * gl_weights * _normal_pdf(y, law.mean, sd))
@@ -216,19 +243,27 @@ def _soft_survival_grid(
     c: ComponentParams, t: np.ndarray, u: float, top: int, blocks, q: QuadratureSpec
 ) -> np.ndarray:
     """Matrix S[m, j] = P(X(t_j) + damage_m + u < H), shape (top + 1, len(t)),
-    for m below each block's rows; entries past them are left at 0."""
+    for m below each block's rows; entries past them are left at 0, as are the
+    times where, by Chernoff, every S_m <= max(at_zero) exp(-a (r - 1 - ln r))
+    < 2^-60 (a = alpha t, r = beta (H - u - min ys) / a < 1; a suffix in t)."""
     out = np.zeros((top + 1, t.size))
     head = c.soft_threshold - u
     if head <= 0:
         return out
     ys, weights, ends, graded, at_zero = _damage_stack(c, u, top, q)
     out[:at_zero.size, t == 0] = at_zero[:, None]
+    reach, floor = c.gamma_rate * (head - ys.min()), np.log(2.0 ** 60 * at_zero.max())
     for cols, rows in blocks:
+        a = c.gamma_shape_rate * t[cols]
+        r = reach / np.maximum(a, reach)  # r = 1, no bound, where beta x >= a
+        live = a * (r - 1.0 - np.log(r)) <= floor
+        if not live.any():
+            continue
+        cols, a = cols[live], a[live]
         rows = min(rows, at_zero.size)
         flat = min(rows, len(ends))  # the rest weight the shared graded set
         e = ends[flat - 1]
-        shape = (c.gamma_shape_rate * t[cols])[:, None]
-        g = gamma_cdf(head - ys[None, :e if rows == flat else None], shape, c.gamma_rate)
+        g = gamma_cdf(head - ys[None, :e if rows == flat else None], a[:, None], c.gamma_rate)
         out[:flat, cols] = np.add.reduceat(g[:, :e] * weights[:e], [0, *ends[:flat - 1]], axis=1).T
         if rows > flat:
             out[flat:rows, cols] = graded[:rows - flat] @ g[:, e:].T
@@ -239,12 +274,8 @@ def soft_survival_given_m(
     c: ComponentParams, t: float, u: float, m: int, q: QuadratureSpec = DEFAULT_QUADRATURE
 ) -> float:
     """P(degradation from level u stays below H by t | m shocks hit)."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if u < 0:
-        raise ValueError("u must be >= 0")
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    if t < 0 or u < 0 or m < 0:
+        raise ValueError("t, u and m must be >= 0")
     grid = np.asarray([t], dtype=float)
     blocks = _column_blocks(grid, np.asarray([m]))
     return float(_soft_survival_grid(c, grid, u, m, blocks, q)[m, 0])
@@ -259,6 +290,17 @@ def _as_time_grid(t) -> tuple[np.ndarray, bool]:
     return arr, np.isscalar(t) or getattr(t, "ndim", 1) == 0
 
 
+@lru_cache(maxsize=4)  # a solve's scan grid repeats; an entry holds a (top + 1) x len(t) pmf
+def _grid_plan(shock_rate: float, t_bytes: bytes, tail_epsilon: float, top: int):
+    """Read-only (pmf, blocks) for the float64 times in t_bytes, cut at top."""
+    t = np.frombuffer(t_bytes)
+    levels = _column_levels(shock_rate * t, tail_epsilon, top)
+    pmf, blocks = _poisson_pmf_grid(shock_rate, t, levels), tuple(_column_blocks(t, levels))
+    for arr in (pmf, *(cols for cols, _ in blocks)):
+        arr.flags.writeable = False
+    return pmf, blocks
+
+
 def _reliability_grid(
     s: SystemModel, t: np.ndarray, u: np.ndarray, q: QuadratureSpec
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -266,9 +308,7 @@ def _reliability_grid(
     topology and each component's, R[i], from one set of alive factors
     p_nh^m * S_m(t_j; u_i) per component."""
     top = truncation_level(s.shock_rate, float(t.max(initial=0.0)), q.tail_epsilon)
-    levels = _column_levels(s.shock_rate * t, q.tail_epsilon, top)
-    pmf = _poisson_pmf_grid(s.shock_rate, t, levels)
-    blocks = _column_blocks(t, levels)
+    pmf, blocks = _grid_plan(s.shock_rate, t.tobytes(), q.tail_epsilon, top)
     alive = np.stack([
         (prob_no_hard_failure(c) ** np.arange(top + 1))[:, None]
         * _soft_survival_grid(c, t, float(ui), top, blocks, q)

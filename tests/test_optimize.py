@@ -223,7 +223,7 @@ class TestSolver:
         monkeypatch.setattr(grel, "gamma_cdf", counted)
         s = replace(system, topology=topology, shock_rate=shock_rate)
         optimal_inspection_time(s, costs, u)
-        assert 0 < count[0] <= 0.035 * before
+        assert 0 < count[0] <= 0.0235 * before
 
     def test_nonfinite_objective_raises(self, system):
         bad = CostParams(float("inf"), (200.0, 200.0, 200.0), 10.0)

@@ -5,22 +5,30 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import pdtrc, roots_legendre
-from scipy.stats import poisson
+from scipy.special import ndtr, pdtrc, roots_legendre
+from scipy.stats import norm, poisson
 
 import gammashock
+import gammashock.reliability as grel
 from gammashock.core import ComponentParams, SystemModel, Topology, gamma_cdf, prob_no_hard_failure
 from gammashock.optimize import DEFAULT_BOUNDS, two_regime_state_sampler
 from gammashock.reliability import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
+    _column_blocks,
+    _column_levels,
+    _cut_normal_gauss,
     _damage_stack,
+    _grid_plan,
+    _poisson_pmf_grid,
     _reliability_grid,
+    _soft_survival_grid,
     component_reliability,
     soft_survival_given_m,
     system_reliability,
@@ -495,6 +503,70 @@ class TestQuadratureBudget:
         assert interior == 637
         assert worst <= 1e-11
 
+    def test_windows_cut_at_0_match_a_plain_rule_on_random_components(self):
+        # a window cut only at 0 (m mu - 8 sd <= 0 < m mu + 8 sd < H - u) takes
+        # a node_count // 2-node Gauss rule for the law above 0.  Against a
+        # plain 4,096-node rule over [0, m mu + 8 sd] (64 panels of 64 nodes)
+        # at 0.05, 0.5 and 2 wear lives, over 608 windows of random components
+        # (the property tests' ranges), it errs by up to 5.0e-12, where 32
+        # Gauss-Legendre nodes over the window erred by 1.4e-11 (and 12 and 20
+        # nodes of the new rule by 1.7e-9 and 1.0e-14)
+        q = DEFAULT_QUADRATURE
+        x, w = roots_legendre(64)
+        x, w = (np.arange(64)[:, None] + 0.5 * (x + 1.0)).ravel() / 64, np.tile(w, 64) / 128
+        rng = np.random.default_rng(5)
+        worst, windows = 0.0, 0
+        while windows < 600:
+            h, a, b = rng.uniform(5, 30), rng.uniform(0.2, 5), rng.uniform(0.2, 3)
+            mu, sd1, u = (0.02 + 0.48 * rng.uniform()) * h, 0.3 * rng.uniform() * h, 0.9 * rng.uniform() * h
+            c = make_component(
+                soft_threshold=h, gamma_shape_rate=a, gamma_rate=b,
+                shock_damage_mean=mu, shock_damage_sd=sd1,
+            )
+            head = h - u
+            t = np.array([0.05, 0.5, 2.0]) * head * b / a
+            for m in range(1, 200):
+                mean, sd = m * mu, math.sqrt(m) * sd1
+                hi = mean + q.domain_sigmas * sd
+                if not mean - q.domain_sigmas * sd <= 0.0 < hi < head:
+                    break
+                ends = _damage_stack(c, u, m, q)[2]
+                assert ends[m] - ends[m - 1] == q.node_count // 2
+                y = hi * x
+                dens = np.exp(-0.5 * ((y - mean) / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
+                expect = hi * (w * dens) @ gamma_cdf(head - y[:, None], a * t, b)
+                got = [soft_survival_given_m(c, tk, u, m, q) for tk in t]
+                worst = max(worst, np.max(np.abs(got - expect)))
+                windows += 1
+        assert worst <= 1e-11
+
+    @pytest.mark.parametrize("n", [1, 16, 48])
+    def test_cut_rule_holds_the_mass_and_mean_above_a(self, n):
+        # the rule for N(0, 1) on [a, inf): positive weights summing to
+        # P(Z > a), nodes above a, and the first moment phi(a)
+        for a in np.arange(-8.0, 8.0, 0.25):
+            x, w = _cut_normal_gauss(float(a), n)
+            assert x.size == n and np.all(w > 0.0) and np.all(x > a)
+            assert abs(w.sum() - ndtr(-a)) <= 1e-14
+            assert abs(w @ x - norm.pdf(a)) <= 1e-14
+
+    @pytest.mark.parametrize("u, nodes", [(12.0, 16), (12.4, 32)])
+    def test_cut_window_keeps_gauss_legendre_where_the_rule_passes_the_headroom(self, u, nodes):
+        # damage mean -0.5 and sd 1: the one-shock window [-8.5, 7.5] is cut
+        # only at 0, and the rule for the law above 0 puts its top node at
+        # 7.70.  Within H - u = 8 it is kept; past H - u = 7.6 the window
+        # takes 32 Gauss-Legendre nodes on [0, 7.5] instead
+        c = make_component(shock_damage_mean=-0.5, shock_damage_sd=1.0)
+        q = DEFAULT_QUADRATURE
+        ys, _, ends, _, _ = _damage_stack(c, u, 1, q)
+        segment = ys[ends[0]:ends[1]]
+        assert segment.size == nodes
+        if nodes == q.node_count:
+            gl = roots_legendre(q.node_count)[0]
+            assert np.allclose(segment, 3.75 * (gl + 1.0), rtol=0.0, atol=1e-13)
+        else:
+            assert 7.6 < segment.max() < 8.0
+
     @pytest.mark.parametrize("index, first, shared", [(0, 6, 13), (2, 11, 2)])
     def test_windows_reaching_the_headroom_share_one_graded_set(self, system, index, first, shared):
         # at u = 0 with 25 shock counts, the counts from the first window
@@ -556,6 +628,86 @@ class TestQuadratureBudget:
             "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
         )
         assert int(_fresh_python(code)) / 1024 < 100  # kB to MB
+
+
+def _skipped_times(c, t, u, top, blocks):
+    """Mask of the times t > 0 at which _soft_survival_grid evaluated no gamma CDF."""
+    shapes = [np.empty(0)]
+
+    def kernel(x, shape, rate):
+        shapes.append(np.ravel(shape))
+        return gamma_cdf(x, shape, rate)
+
+    with mock.patch.object(grel, "gamma_cdf", kernel):
+        _soft_survival_grid(c, t, u, top, blocks, DEFAULT_QUADRATURE)
+    return (t > 0) & ~np.isin(c.gamma_shape_rate * t, np.concatenate(shapes))
+
+
+def _assert_skips_are_negligible_suffixes(s, t, u):
+    """Each component's skipped times (t ascending) are a suffix, and there
+    the stack's kernel, evaluated here, puts every S_m below 2^-60; returns
+    how many times were skipped."""
+    eps = DEFAULT_QUADRATURE.tail_epsilon
+    top = truncation_level(s.shock_rate, t[-1], eps)
+    blocks = _grid_plan(s.shock_rate, t.tobytes(), eps, top)[1]
+    skipped_count = 0
+    for c, ui in zip(s.components, u):
+        skipped = _skipped_times(c, t, ui, top, blocks)
+        assert np.all(skipped[np.argmax(skipped):]) or not skipped.any()
+        ys, weights, ends, graded, _ = _damage_stack(c, ui, top, DEFAULT_QUADRATURE)
+        g = gamma_cdf(c.soft_threshold - ui - ys, c.gamma_shape_rate * t[skipped][:, None], c.gamma_rate)
+        if skipped.any():
+            flat = np.add.reduceat(g[:, :ends[-1]] * weights, [0, *ends[:-1]], axis=1)
+            assert np.all(flat < 2.0 ** -60)
+            assert not graded.size or np.all(g[:, ends[-1]:] @ graded.T < 2.0 ** -60)
+        skipped_count += int(skipped.sum())
+    return skipped_count
+
+
+class TestDeadColumns:
+    """Times where a Chernoff bound puts every S_m below 2^-60 are skipped."""
+
+    @given(
+        shape=st.floats(1e-3, 1e4),
+        rate=st.floats(0.1, 10.0),
+        r=st.floats(1e-6, 1.0, exclude_max=True),
+    )
+    def test_chernoff_bound_is_at_least_the_gamma_cdf(self, shape, rate, r):
+        x = r * shape / rate
+        assert gamma_cdf(x, shape, rate) <= math.exp(-shape * (r - 1.0 - math.log(r))) * (1.0 + 1e-12)
+
+    @settings(max_examples=30)
+    @given(case=_systems())
+    def test_skipped_times_are_a_suffix_of_negligible_columns(self, case):
+        # out to 40 wear lives, at shock rates up to 0.05 so the Poisson
+        # mean stays within the truncation cap
+        s, t, u = case
+        s = replace(s, shock_rate=min(s.shock_rate, 0.05))
+        _assert_skips_are_negligible_suffixes(s, np.concatenate((t, t[-1] * np.geomspace(2, 20, 6))), u)
+
+    @pytest.mark.parametrize("topology, rate", [(Topology.SERIES, 2.5e-3), (Topology.PARALLEL, 0.1)])
+    def test_the_default_scan_grid_skips_late_columns(self, system, topology, rate):
+        # component 1 wears out (a = 3 t against beta H = 20) within the
+        # 50-unit scan, so a new system skips its last columns
+        s = replace(system, topology=topology, shock_rate=rate)
+        t = np.concatenate(([0.0, 0.05], np.geomspace(*DEFAULT_BOUNDS, 100)))
+        assert _assert_skips_are_negligible_suffixes(s, t, [0.0, 0.0, 0.0]) >= 5
+
+    def test_grid_plan_is_cached_read_only_and_fresh(self):
+        t = np.concatenate(([0.0, 0.05], np.geomspace(*DEFAULT_BOUNDS, 100)))
+        eps = DEFAULT_QUADRATURE.tail_epsilon
+        for rate in (2.5e-3, 0.1):
+            top = truncation_level(rate, t[-1], eps)
+            pmf, blocks = _grid_plan(rate, t.tobytes(), eps, top)
+            assert _grid_plan(rate, t.copy().tobytes(), eps, top)[0] is pmf
+            levels = _column_levels(rate * t, eps, top)
+            assert np.array_equal(pmf, _poisson_pmf_grid(rate, t, levels))
+            fresh = _column_blocks(t, levels)
+            assert [rows for _, rows in blocks] == [rows for _, rows in fresh]
+            assert all(np.array_equal(a, b) for (a, _), (b, _) in zip(blocks, fresh))
+            for arr in (pmf, *(cols for cols, _ in blocks)):
+                with pytest.raises(ValueError):
+                    arr[...] = 0
 
 
 def _fresh_python(code: str) -> str:

@@ -146,6 +146,21 @@ class TestEstimateReliability:
         pp, _ = estimate_reliability(par, 6.0, u, 20_000, RngSeed(8))
         assert pp >= ps
 
+    def test_negative_damage_is_clipped(self):
+        # damage N(0, 5^2) from 0.5 below H, with negligible wear and no lethal
+        # shock: the system is up if every shock's damage is at most 0, and only
+        # if every clipped damage stays below 0.5, so with N ~ Poisson(10)
+        # E[(1/2)^N] <= R <= E[((1 + q) / 2)^N], q = P(|N(0, 25)| < 0.5).
+        # Unclipped damage would cancel out and leave R near 1/2
+        c = make_component(
+            gamma_shape_rate=0.01, gamma_rate=100.0, shock_magnitude_mean=0.0,
+            shock_magnitude_sd=0.0, shock_damage_mean=0.0, shock_damage_sd=5.0,
+        )
+        s = SystemModel((c,), shock_rate=2.0)
+        p, se = estimate_reliability(s, 5.0, [c.soft_threshold - 0.5], 100_000, RngSeed(9))
+        q = math.erf(0.1 / math.sqrt(2.0))
+        assert math.exp(-5.0) - 4.0 * se <= p <= math.exp(-5.0 * (1.0 - q)) + 4.0 * se
+
     def test_validation(self, system):
         with pytest.raises(ValueError):
             estimate_reliability(system, -1.0)
@@ -326,6 +341,17 @@ class TestBatchedDrawsMatchStepwiseLoop:
             assert new == _stepwise_simulate_plan(*args).to_dict()
             hard += sum(map(len, new["hard_failed"]))
         assert hard > 0
+
+    def test_negative_damage_is_clipped_as_in_the_loop(self, system, costs):
+        # a damage law of mean 0.2 and sd 1.0 draws below 0 about 42% of the
+        # time; both implementations add 0 for such a draw
+        comps = tuple(
+            replace(c, shock_damage_mean=0.2, shock_damage_sd=1.0) for c in system.components
+        )
+        for topology, seed in itertools.product(Topology, range(3)):
+            s = replace(system, topology=topology, shock_rate=5.0, components=comps)
+            args = (s, costs, lambda u: 2.0, 12.0, RngSeed(seed, 7), None)
+            assert simulate_plan(*args).to_dict() == _stepwise_simulate_plan(*args).to_dict()
 
     def test_cases_cover_both_failure_orders(self, system, costs):
         # the comparisons above see hard failures listed and soft crossings
