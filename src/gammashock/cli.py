@@ -367,9 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--quadrature-nodes",
         type=int,
-        help="override the damage-integral node count (default 32), graded nodes shared by the "
-        "windows that reach the headroom; a damage law inside the headroom gets 3/8 as many "
-        "Gauss-Hermite nodes, one cut at 0 half as many of a rule for the law above 0 (<= 128)",
+        help="override the damage-integral node count (default 32, at most 4096), graded nodes "
+        "shared by the windows that reach the headroom; a window below it gets 3/8 as many nodes "
+        "of a Gauss rule for the damage law on its span, or half as many if cut at 0 (<= 128)",
     )
     parser = argparse.ArgumentParser(
         prog="gammashock",

@@ -8,13 +8,13 @@ configurable epsilon:
 
 where p_nh is the per-shock survival probability and S_m is the soft
 survival given m shocks: the gamma CDF convolved with the m-fold
-damage law N(m mu, m sigma^2) over the window [0, H - u].  A law that
-lies wholly inside the window is integrated by Gauss-Hermite nodes,
-with no density to evaluate, and one cut only at 0 by a Gauss rule for
-the law above 0.  Where the windows reach the headroom H - u, the
-integrand behaves like (H - u - y)^(alpha t): the first such window sets
-one set of Gauss-Legendre nodes graded toward that end, and it and
-every later window weight those shared nodes by their own density.
+damage law N(m mu, m sigma^2) over the window [0, H - u], cut to
+m mu +- 8 sd.  A window below H - u is integrated by a Gauss rule for
+the normal law on its span, with no density to evaluate.  Where the
+windows reach the headroom H - u, the integrand behaves like
+(H - u - y)^(alpha t): the first such window sets one set of
+Gauss-Legendre nodes graded toward that end, and it and every later
+window weight those shared nodes by their own density.
 Given m shocks, shared by all components, a series system is up if
 every component is, a parallel one if any is.  Series books the tail
 past M as failure, parallel as survival: the exact value lies within
@@ -50,7 +50,9 @@ from .core import (
 )
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
-_MAX_HERMITE_NODES = 128  # hermegauss's weights overflow to NaN from about 400 nodes
+_WINDOW_SIGMAS = 8.0  # half-width of a damage window, in damage sd
+_MAX_WINDOW_NODES = 128  # of one window rule, whose Lanczos basis is (n + 1) x max(256, 4n)
+_MAX_NODE_COUNT = 4096  # a kernel call holds columns x node_count elements
 _MAX_TRUNCATION = 20_000  # shock counts; a grid holds that many rows per time and component
 _STACK_CACHE_SIZE = 64  # entries of a few to a few tens of KB each
 _BLOCK_COLUMNS = 32  # fewest time columns per gamma-CDF call, when there are that many
@@ -58,31 +60,24 @@ _BLOCK_COLUMNS = 32  # fewest time columns per gamma-CDF call, when there are th
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Numerical policy: damage-integral nodes, Poisson tail cut, window width.
+    """Numerical policy: damage-integral nodes and the Poisson tail cut.
 
     node_count      graded Gauss-Legendre nodes shared by the damage windows
-                    that reach the headroom; an interior window gets
-                    3 * node_count // 8 Gauss-Hermite nodes and one cut at 0
-                    a node_count // 2-node rule for the law above 0 (1 to
-                    128 each); 32 keep R within 1e-7 of a 512-node rule
+                    that reach the headroom (2 to 4,096); a window below it
+                    gets 3 * node_count // 8 nodes of a Gauss rule for the
+                    normal law on its span, or node_count // 2 if cut at 0
+                    (1 to 128 each); 32 keep R within 1e-7 of a 512-node rule
     tail_epsilon    Poisson mass allowed beyond the truncation level
-    domain_sigmas   half-width of the damage window in damage-sd units; a
-                    window is interior when this span and its Hermite nodes
-                    lie inside (0, H - u); an interior window integrates
-                    the whole normal law and one cut at 0 all of it above 0
     """
 
     node_count: int = 32
     tail_epsilon: float = 1e-10
-    domain_sigmas: float = 8.0
 
     def __post_init__(self):
-        if not self.node_count >= 2:
-            raise ValueError("node_count must be >= 2")
+        if not 2 <= self.node_count <= _MAX_NODE_COUNT:
+            raise ValueError(f"node_count must be in [2, {_MAX_NODE_COUNT}]")
         if not 0 < self.tail_epsilon < 1:
             raise ValueError("tail_epsilon must be in (0, 1)")
-        if not self.domain_sigmas > 0:
-            raise ValueError("domain_sigmas must be > 0")
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -96,35 +91,27 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-@lru_cache(maxsize=32)
-def _hermegauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Probabilists' Gauss-Hermite rule for the standard normal law: nodes
-    x_k and weights w_k / sqrt(2 pi), which sum to 1."""
-    nodes, weights = np.polynomial.hermite_e.hermegauss(n)
-    return nodes, weights / _SQRT_2PI
-
-
 @lru_cache(maxsize=256)
-def _cut_normal_gauss(a: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-node Gauss rule for the standard normal law on [a, inf): nodes x_k > a,
-    weights summing to P(Z > a).  Lanczos with full reorthogonalization on a
-    Gauss-Legendre discretization of [a, max(a, 0) + 9] gives the Jacobi matrix
-    (Golub & Welsch 1969; Gautschi 2004, 2.2)."""
-    x, w = _leggauss(max(256, 4 * n))
-    half = 0.5 * (max(a, 0.0) + 9.0 - a)
-    x = a + half * (x + 1.0)
-    w = half * w * _normal_pdf(x, 0.0, 1.0)
-    basis, alpha, beta = np.zeros((n + 1, x.size)), np.empty(n), np.empty(n)
+def _window_gauss(a: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-node Gauss rule for the standard normal law on [a, 8]: nodes inside
+    it, weights summing to its mass there.  Lanczos with full
+    reorthogonalization on a Gauss-Legendre discretization of [a, 8], in the
+    Legendre variable, gives the Jacobi matrix (Golub & Welsch 1969;
+    Gautschi 2004, 2.2)."""
+    s, w = _leggauss(max(256, 4 * n))
+    half = 0.5 * (_WINDOW_SIGMAS - a)
+    w = half * w * _normal_pdf(a + half * (s + 1.0), 0.0, 1.0)
+    basis, alpha, beta = np.zeros((n + 1, s.size)), np.empty(n), np.empty(n)
     basis[0] = np.sqrt(w / w.sum())
     for k in range(n):
-        v = x * basis[k]
+        v = s * basis[k]
         alpha[k] = basis[k] @ v
         for _ in range(2):  # one pass loses orthogonality on these steeply falling weights
             v -= basis.T @ (basis @ v)
         beta[k] = np.linalg.norm(v)
         basis[k + 1] = v / beta[k]
     nodes, vectors = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], -1))
-    return nodes, w.sum() * vectors[0] ** 2
+    return a + half * (nodes + 1.0), w.sum() * vectors[0] ** 2
 
 
 def _column_levels(mu: np.ndarray, tail_epsilon: float, top: int) -> np.ndarray:
@@ -175,8 +162,9 @@ def _damage_stack(c: ComponentParams, u: float, max_m: int, q: QuadratureSpec):
     """
     head = c.soft_threshold - u
     nodes, gl_weights = _leggauss(q.node_count)
-    he_nodes, he_weights = _hermegauss(min(max(3 * q.node_count // 8, 1), _MAX_HERMITE_NODES))
-    cut_count = min(max(q.node_count // 2, 1), _MAX_HERMITE_NODES)
+    uncut_count, cut_count = (
+        min(max(k, 1), _MAX_WINDOW_NODES) for k in (3 * q.node_count // 8, q.node_count // 2)
+    )
     ys, wds, graded = [], [], []  # node arrays, their weights, rows of graded weights
     shared = np.empty(0)
     for m in range(max_m + 1):
@@ -188,13 +176,7 @@ def _damage_stack(c: ComponentParams, u: float, max_m: int, q: QuadratureSpec):
             wds.append(np.ones(1))
             continue
         sd = np.sqrt(law.variance)
-        lo, hi = law.mean - q.domain_sigmas * sd, law.mean + q.domain_sigmas * sd
-        y = law.mean + sd * he_nodes
-        if 0.0 < min(lo, y[0]) and max(hi, y[-1]) < head:  # interior: the whole law
-            ys.append(y)
-            wds.append(he_weights)
-            continue
-        lo, hi = max(0.0, lo), min(head, hi)
+        lo, hi = max(0.0, law.mean - _WINDOW_SIGMAS * sd), min(head, law.mean + _WINDOW_SIGMAS * sd)
         if not hi > lo:
             break
         if hi == head:  # graded toward the (H - u - y)^(alpha t) end, set once
@@ -203,15 +185,11 @@ def _damage_stack(c: ComponentParams, u: float, max_m: int, q: QuadratureSpec):
                 shared, shared_w = head - (head - lo) * s ** 2, (head - lo) * s * gl_weights
             graded.append(shared_w * _normal_pdf(shared, law.mean, sd))
             continue
-        if lo == 0.0:  # cut at 0 only: the law above 0, unless a node would pass H - u
-            x, w = _cut_normal_gauss(-law.mean / sd, cut_count)
-            if law.mean + sd * x[-1] < head:
-                ys.append(law.mean + sd * x)
-                wds.append(w)
-                continue
-        y = 0.5 * (hi - lo) * (nodes + 1.0) + lo
-        ys.append(y)
-        wds.append(0.5 * (hi - lo) * gl_weights * _normal_pdf(y, law.mean, sd))
+        # below H - u: a rule for the law on [max(0, m mu - 8 sd), m mu + 8 sd]
+        n = cut_count if lo == 0.0 else uncut_count
+        x, w = _window_gauss(max(-law.mean / sd, -_WINDOW_SIGMAS), n)
+        ys.append(law.mean + sd * x)
+        wds.append(w)
     ends = list(accumulate(y.size for y in ys))
     weights, graded = np.concatenate(wds), np.reshape(graded, (-1, q.node_count))
     at_zero = np.concatenate([np.add.reduceat(weights, [0, *ends[:-1]]), graded.sum(axis=1)])

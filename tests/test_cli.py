@@ -437,6 +437,11 @@ class TestConfigRejections:
         cfg = write_config(tmp_path, dataset__train_fraction=1.5)
         assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    def test_huge_quadrature_nodes_flag(self, tmp_path, capsys):
+        argv = ["optimize", "--quadrature-nodes", str(10**9), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert "node_count must be in [2, 4096]" in capsys.readouterr().err
+
     def test_infinite_downtime_rate(self, tmp_path, capsys):
         cfg = write_config(tmp_path, costs__downtime_rate=float("inf"))
         assert "Infinity" in cfg.read_text()
@@ -456,6 +461,7 @@ class TestConfigRejections:
                 "system.components[0].gamma_rate: missing required field",
             ),
             (("quadrature", "node_count"), 64.5, "quadrature.node_count: expected an integer"),
+            (("quadrature", "node_count"), 10**9, "quadrature: node_count must be in [2, 4096]"),
             (("costs",), None, "costs: expected an object"),
             ((), [1, 2], "config: expected an object"),
             (("seed",), True, "seed: expected an integer"),
@@ -467,6 +473,7 @@ class TestConfigRejections:
             ),
             (("solver", "tau_max"), 10**400, "solver.tau_max: integer beyond the float range"),
             (("surrogate", "feature_mode"), "u_plus_params", "surrogate.feature_mode: expected"),
+            (("quadrature", "domain_sigmas"), 8.0, "quadrature.domain_sigmas: unknown key"),
             (("solver", "tau_max"), HUGE_INT, "solver.tau_max: expected a finite number"),
             (("solver", "tau_max"), float("inf"), "solver.tau_max: expected a finite number"),
             (("simulate", "horizon"), float("inf"), "simulate.horizon: expected a finite number"),
@@ -475,9 +482,9 @@ class TestConfigRejections:
         ],
         ids=[
             "unknown-key", "unknown-top-level-key", "missing-system", "string-number",
-            "missing-component-field", "fractional-int", "null-section", "top-level-array",
-            "bool-seed", "nan-shock-rate", "nan-shock-mean", "huge-int-float",
-            "removed-feature-mode", "int-beyond-digit-limit", "infinite-tau-max",
+            "missing-component-field", "fractional-int", "huge-node-count", "null-section",
+            "top-level-array", "bool-seed", "nan-shock-rate", "nan-shock-mean", "huge-int-float",
+            "removed-feature-mode", "removed-domain-sigmas", "int-beyond-digit-limit", "infinite-tau-max",
             "infinite-horizon", "int-seed-beyond-digit-limit", "untruncatable-horizon",
         ],
     )

@@ -23,12 +23,12 @@ from gammashock.reliability import (
     QuadratureSpec,
     _column_blocks,
     _column_levels,
-    _cut_normal_gauss,
     _damage_stack,
     _grid_plan,
     _poisson_pmf_grid,
     _reliability_grid,
     _soft_survival_grid,
+    _window_gauss,
     component_reliability,
     soft_survival_given_m,
     system_reliability,
@@ -49,6 +49,7 @@ def brute_truncation(mu: float, eps: float) -> int:
 
 
 T_GRID = np.linspace(0.0, 16.0, 9)
+SIGMAS = 8.0  # half-width of a damage window, in damage sd
 
 
 class TestTruncationLevel:
@@ -335,12 +336,13 @@ class TestQuadratureSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
             QuadratureSpec(node_count=1)
+        for huge in (4097, 10**9):  # rejected before any node array is built
+            with pytest.raises(ValueError, match=r"node_count must be in \[2, 4096\]"):
+                QuadratureSpec(node_count=huge)
         with pytest.raises(ValueError):
             QuadratureSpec(tail_epsilon=0.0)
         with pytest.raises(ValueError):
             QuadratureSpec(tail_epsilon=1.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(domain_sigmas=0.0)
 
 
 REFERENCE = QuadratureSpec(node_count=512)  # the same rules, far past convergence
@@ -365,8 +367,7 @@ def _plain_rule_parallel(s, t, u, nodes):
             shape = c.gamma_shape_rate * tj
             for m in range(top + 1):
                 mean, sd = m * c.shock_damage_mean, math.sqrt(m) * c.shock_damage_sd
-                lo = max(0.0, mean - DEFAULT_QUADRATURE.domain_sigmas * sd)
-                hi = min(head, mean + DEFAULT_QUADRATURE.domain_sigmas * sd)
+                lo, hi = max(0.0, mean - SIGMAS * sd), min(head, mean + SIGMAS * sd)
                 if m == 0:
                     soft = gamma_cdf(head, shape, c.gamma_rate)
                 elif hi > lo:
@@ -435,12 +436,13 @@ class TestQuadratureBudget:
         ref = _reliability_grid(s, T_GRID[1:], np.asarray(u), REFERENCE)[0]
         assert np.max(np.abs(ref - _plain_rule_parallel(s, T_GRID[1:], u, 4096))) <= 1e-12
 
-    def test_interior_windows_use_hermite_nodes(self):
+    def test_interior_windows_use_the_window_rule(self):
         # a damage law whose +-8 sd span lies inside (0, H - u) is integrated
-        # on 3 * node_count // 8 Gauss-Hermite nodes, all inside the headroom, and
-        # matches a plain 4,096-node Gauss-Legendre rule over that span: 64
-        # panels of 64 nodes, as one 4,096-node rule's weights are good only
-        # to about 1e-13 (its mass is off by 1.5e-13 on these windows)
+        # on 3 * node_count // 8 nodes of the Gauss rule for the law on that
+        # span, all inside it, and matches a plain 4,096-node Gauss-Legendre
+        # rule over that span: 64 panels of 64 nodes, as one 4,096-node rule's
+        # weights are good only to about 1e-13 (its mass is off by 1.5e-13 on
+        # these windows)
         c = make_component(soft_threshold=30.0, shock_damage_sd=0.3)
         u, q = 1.0, DEFAULT_QUADRATURE
         head = c.soft_threshold - u
@@ -450,12 +452,12 @@ class TestQuadratureBudget:
         interior = 0
         for m in range(1, len(ends)):
             mean, sd = m * c.shock_damage_mean, math.sqrt(m) * c.shock_damage_sd
-            lo, hi = mean - q.domain_sigmas * sd, mean + q.domain_sigmas * sd
+            lo, hi = mean - SIGMAS * sd, mean + SIGMAS * sd
             if not 0.0 < lo < hi < head:
                 continue
             nodes = ys[ends[m - 1]:ends[m]]
             assert nodes.size == 3 * q.node_count // 8
-            assert 0.0 < nodes.min() and nodes.max() < head
+            assert lo < nodes.min() and nodes.max() < hi
             y = lo + (hi - lo) * x
             dens = np.exp(-0.5 * ((y - mean) / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
             for t in (0.5, 2.0, 6.0):
@@ -468,8 +470,8 @@ class TestQuadratureBudget:
     def test_interior_windows_match_a_plain_rule_on_random_components(self):
         # the same comparison over 300 random components with interior
         # windows (637 windows), at 0.05, 0.5 and 2 wear lives (the time the
-        # mean wear takes to cover the headroom); 12 Hermite nodes err by up
-        # to 6.4e-12 here, 16 by 6.3e-15 and 8 by 3.5e-8
+        # mean wear takes to cover the headroom); 12 nodes of the window rule
+        # err by up to 6.4e-12 here, 16 by 5.2e-15 and 8 by 3.5e-8
         q = DEFAULT_QUADRATURE
         x, w = roots_legendre(64)
         x, w = (np.arange(64)[:, None] + 0.5 * (x + 1.0)).ravel() / 64, np.tile(w, 64) / 128
@@ -487,7 +489,7 @@ class TestQuadratureBudget:
             found = False
             for m in range(1, 200):
                 mean, sd = m * mu, math.sqrt(m) * sd1
-                lo, hi = mean - q.domain_sigmas * sd, mean + q.domain_sigmas * sd
+                lo, hi = mean - SIGMAS * sd, mean + SIGMAS * sd
                 if lo >= head:
                     break
                 if not 0.0 < lo < hi < head:
@@ -505,12 +507,11 @@ class TestQuadratureBudget:
 
     def test_windows_cut_at_0_match_a_plain_rule_on_random_components(self):
         # a window cut only at 0 (m mu - 8 sd <= 0 < m mu + 8 sd < H - u) takes
-        # a node_count // 2-node Gauss rule for the law above 0.  Against a
-        # plain 4,096-node rule over [0, m mu + 8 sd] (64 panels of 64 nodes)
-        # at 0.05, 0.5 and 2 wear lives, over 608 windows of random components
-        # (the property tests' ranges), it errs by up to 5.0e-12, where 32
-        # Gauss-Legendre nodes over the window erred by 1.4e-11 (and 12 and 20
-        # nodes of the new rule by 1.7e-9 and 1.0e-14)
+        # a node_count // 2-node Gauss rule for the law on [0, m mu + 8 sd].
+        # Against a plain 4,096-node rule over that span (64 panels of 64
+        # nodes) at 0.05, 0.5 and 2 wear lives, over 608 windows of random
+        # components (the property tests' ranges), it errs by up to 4.8e-12
+        # (12 and 20 nodes by 1.7e-9 and 8.5e-15)
         q = DEFAULT_QUADRATURE
         x, w = roots_legendre(64)
         x, w = (np.arange(64)[:, None] + 0.5 * (x + 1.0)).ravel() / 64, np.tile(w, 64) / 128
@@ -527,8 +528,8 @@ class TestQuadratureBudget:
             t = np.array([0.05, 0.5, 2.0]) * head * b / a
             for m in range(1, 200):
                 mean, sd = m * mu, math.sqrt(m) * sd1
-                hi = mean + q.domain_sigmas * sd
-                if not mean - q.domain_sigmas * sd <= 0.0 < hi < head:
+                hi = mean + SIGMAS * sd
+                if not mean - SIGMAS * sd <= 0.0 < hi < head:
                     break
                 ends = _damage_stack(c, u, m, q)[2]
                 assert ends[m] - ends[m - 1] == q.node_count // 2
@@ -542,30 +543,32 @@ class TestQuadratureBudget:
 
     @pytest.mark.parametrize("n", [1, 16, 48])
     def test_cut_rule_holds_the_mass_and_mean_above_a(self, n):
-        # the rule for N(0, 1) on [a, inf): positive weights summing to
-        # P(Z > a), nodes above a, and the first moment phi(a)
+        # the rule for N(0, 1) on [a, 8]: positive weights summing to
+        # P(a < Z < 8), nodes inside, and the first moment phi(a) - phi(8)
         for a in np.arange(-8.0, 8.0, 0.25):
-            x, w = _cut_normal_gauss(float(a), n)
-            assert x.size == n and np.all(w > 0.0) and np.all(x > a)
-            assert abs(w.sum() - ndtr(-a)) <= 1e-14
-            assert abs(w @ x - norm.pdf(a)) <= 1e-14
+            x, w = _window_gauss(float(a), n)
+            assert x.size == n and np.all(w > 0.0) and np.all((a < x) & (x < SIGMAS))
+            assert abs(w.sum() - (ndtr(SIGMAS) - ndtr(a))) <= 1e-14
+            assert abs(w @ x - (norm.pdf(a) - norm.pdf(SIGMAS))) <= 1e-14
 
-    @pytest.mark.parametrize("u, nodes", [(12.0, 16), (12.4, 32)])
-    def test_cut_window_keeps_gauss_legendre_where_the_rule_passes_the_headroom(self, u, nodes):
+    @pytest.mark.parametrize("n", [16, 48, 128])
+    def test_cut_rule_on_a_span_of_1e_6(self, n):
+        a = 7.999999
+        x, w = _window_gauss(a, n)
+        assert np.all(np.isfinite(x)) and np.all(np.isfinite(w)) and np.all(w > 0.0)
+        assert np.all((a <= x) & (x <= SIGMAS))
+
+    @pytest.mark.parametrize("u", [12.0, 12.4])
+    def test_cut_window_keeps_its_nodes_on_its_span(self, u):
         # damage mean -0.5 and sd 1: the one-shock window [-8.5, 7.5] is cut
-        # only at 0, and the rule for the law above 0 puts its top node at
-        # 7.70.  Within H - u = 8 it is kept; past H - u = 7.6 the window
-        # takes 32 Gauss-Legendre nodes on [0, 7.5] instead
+        # only at 0.  Below H - u = 8 and 7.6 alike, it takes node_count // 2
+        # nodes of the rule for the law on [0, 7.5], all inside that span
         c = make_component(shock_damage_mean=-0.5, shock_damage_sd=1.0)
         q = DEFAULT_QUADRATURE
         ys, _, ends, _, _ = _damage_stack(c, u, 1, q)
         segment = ys[ends[0]:ends[1]]
-        assert segment.size == nodes
-        if nodes == q.node_count:
-            gl = roots_legendre(q.node_count)[0]
-            assert np.allclose(segment, 3.75 * (gl + 1.0), rtol=0.0, atol=1e-13)
-        else:
-            assert 7.6 < segment.max() < 8.0
+        assert segment.size == q.node_count // 2
+        assert 0.0 <= segment.min() and segment.max() <= 7.5
 
     @pytest.mark.parametrize("index, first, shared", [(0, 6, 13), (2, 11, 2)])
     def test_windows_reaching_the_headroom_share_one_graded_set(self, system, index, first, shared):
@@ -581,9 +584,9 @@ class TestQuadratureBudget:
 
     @pytest.mark.parametrize("nodes", [2, 3, 512, 4096])
     def test_extreme_node_counts_give_valid_reliability(self, system, nodes):
-        # hermegauss loses its weights to overflow near 400 nodes, so the
-        # Hermite count is capped; one or two nodes must work as well.  The
-        # narrow damage law keeps windows interior even for wide node sets
+        # a window rule has at most 128 nodes, which bounds its Lanczos
+        # basis; one or two nodes must work as well.  The narrow damage law
+        # keeps many windows below the headroom
         q = QuadratureSpec(node_count=nodes)
         narrow = make_component(shock_damage_sd=0.01)
         curves = [component_reliability(narrow, 0.1, T_GRID, 4.0, q)]
