@@ -64,13 +64,17 @@ def _parse_levels(spec: str | None, n: int) -> np.ndarray:
 
 
 def _resolve_config(args) -> ExperimentConfig:
+    """The config with each command-line override replaced in, so its checks apply."""
     cfg = load_config(args.config) if args.config else default_config()
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     if args.quadrature_nodes is not None:
-        cfg = replace(
-            cfg, quadrature=replace(cfg.quadrature, node_count=args.quadrature_nodes)
-        )
+        cfg = replace(cfg, quadrature=replace(cfg.quadrature, node_count=args.quadrature_nodes))
+    if getattr(args, "topology", None):
+        cfg = replace(cfg, system=replace(cfg.system, topology=Topology(args.topology)))
+    sim = {k: v for k in ("horizon", "replications") if (v := getattr(args, k, None)) is not None}
+    if sim:
+        cfg = replace(cfg, simulate=replace(cfg.simulate, **sim))
     return cfg
 
 
@@ -85,8 +89,6 @@ def _out_dir(args) -> Path:
 
 def cmd_reliability(cfg: ExperimentConfig, args) -> int:
     s = cfg.system
-    if args.topology:
-        s = replace(s, topology=Topology(args.topology))
     grid = _parse_grid(args.t_grid)
     u = _parse_levels(args.u, s.n)
     r_sys, per_comp = _reliability_grid(s, grid, u, cfg.quadrature)
@@ -311,22 +313,12 @@ def _make_policy(cfg: ExperimentConfig, args, out: Path):
 
 def cmd_simulate(cfg: ExperimentConfig, args) -> int:
     out = _out_dir(args)
-    sim = cfg.simulate
-    horizon = args.horizon if args.horizon is not None else sim.horizon
-    reps = args.replications if args.replications is not None else sim.replications
-    if not 0 < horizon < np.inf or reps < 1:
-        raise ValueError("horizon must be finite and > 0 and replications >= 1")
+    horizon, reps = cfg.simulate.horizon, cfg.simulate.replications
     policy, label = _make_policy(cfg, args, out)
     try:
         traces = [
-            simulate_plan(
-                cfg.system,
-                cfg.costs,
-                policy,
-                horizon,
-                RngSeed(cfg.seed, r),
-                subgrid_steps=sim.subgrid_steps,
-            )
+            simulate_plan(cfg.system, cfg.costs, policy, horizon, RngSeed(cfg.seed, r),
+                          subgrid_steps=cfg.simulate.subgrid_steps)
             for r in range(reps)
         ]
     except PolicyError as exc:

@@ -14,8 +14,10 @@ from enum import Enum
 from typing import get_args, get_origin, get_type_hints
 
 from .core import ComponentParams, SystemModel, Topology
-from .optimize import CostParams, _dump, two_regime_state_sampler, uniform_state_sampler
+from .optimize import (_MAX_GRID_POINTS, CostParams, _dump, two_regime_state_sampler,
+                       uniform_state_sampler)
 from .reliability import QuadratureSpec, truncation_level
+from .simulate import _MAX_SUBGRID_STEPS
 from .surrogate import FeatureMode, TrainMode
 
 SCHEMA_VERSION = 1
@@ -33,8 +35,8 @@ class SolverConfig:
             raise ValueError("bounds must satisfy 0 < tau_min < tau_max")
         if not self.tol > 0:
             raise ValueError("tol must be > 0")
-        if not self.grid_points >= 3:
-            raise ValueError("grid_points must be >= 3")
+        if not 3 <= self.grid_points <= _MAX_GRID_POINTS:
+            raise ValueError(f"grid_points must be in [3, {_MAX_GRID_POINTS}]")
 
     @property
     def bounds(self) -> tuple[float, float]:
@@ -94,12 +96,12 @@ class SimulateConfig:
     subgrid_steps: int = 32
 
     def __post_init__(self):
-        if not self.horizon > 0:
-            raise ValueError("horizon must be > 0")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError("horizon must be finite and > 0")
         if not self.replications >= 1:
             raise ValueError("replications must be >= 1")
-        if not self.subgrid_steps >= 1:
-            raise ValueError("subgrid_steps must be >= 1")
+        if not 1 <= self.subgrid_steps <= _MAX_SUBGRID_STEPS:
+            raise ValueError(f"subgrid_steps must be in [1, {_MAX_SUBGRID_STEPS}]")
 
 
 @dataclass(frozen=True)

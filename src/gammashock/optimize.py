@@ -49,6 +49,7 @@ from .reliability import (
 
 COST_INTEGRAL_NODES = 32
 _STENCIL = 10  # grid points per interval in the scan's log-time rule
+_MAX_GRID_POINTS = 20_000  # a scan's grid holds (top + 1) rows per point and component
 DEFAULT_BOUNDS = (0.1, 50.0)
 
 _STREAM_DATASET = 101
@@ -225,8 +226,8 @@ def optimal_inspection_time(
     lo, hi = _check_bounds(bounds, "bounds")
     if not tol > 0:
         raise ValueError("tol must be > 0")
-    if grid_points < 3:
-        raise ValueError("grid_points must be >= 3")
+    if not 3 <= grid_points <= _MAX_GRID_POINTS:
+        raise ValueError(f"grid_points must be in [3, {_MAX_GRID_POINTS}]")
     levels = as_levels(u, s.n)
     grid = np.geomspace(lo, hi, grid_points)
     _, scan = _scan(s, costs, grid, levels, q)

@@ -26,9 +26,9 @@ are stacked, the shared graded set last; a component evaluates the
 gamma CDF on each time's prefix of the stack, in blocks of times sorted
 by level, sums each window's weighted segment and takes the graded rows
 as one product with their weight matrix, skipping times where a Chernoff
-bound puts every S_m below 2^-60.  Stacks are memoized per (component,
-level, M), a grid's pmf and blocks per grid.  _reliability_grid returns the
-system's and every component's reliability from one set of alive factors.
+bound puts every S_m below 2^-60.  A grid's pmf and blocks are memoized
+per grid.  _reliability_grid returns the system's and every component's
+reliability from one set of alive factors.
 """
 from __future__ import annotations
 
@@ -54,7 +54,6 @@ _WINDOW_SIGMAS = 8.0  # half-width of a damage window, in damage sd
 _MAX_WINDOW_NODES = 128  # of one window rule, whose Lanczos basis is (n + 1) x max(256, 4n)
 _MAX_NODE_COUNT = 4096  # a kernel call holds columns x node_count elements
 _MAX_TRUNCATION = 20_000  # shock counts; a grid holds that many rows per time and component
-_STACK_CACHE_SIZE = 64  # entries of a few to a few tens of KB each
 _BLOCK_COLUMNS = 32  # fewest time columns per gamma-CDF call, when there are that many
 
 
@@ -146,7 +145,6 @@ def _poisson_pmf_grid(shock_rate: float, t: np.ndarray, levels: np.ndarray) -> n
     return np.where((m <= levels) & ((mu > 0) | (m == 0)), np.exp(logp), 0.0)
 
 
-@lru_cache(maxsize=_STACK_CACHE_SIZE)
 def _damage_stack(c: ComponentParams, u: float, max_m: int, q: QuadratureSpec):
     """Stacked damage-convolution nodes for m = 0..max_m at level u.
 

@@ -21,6 +21,7 @@ from .optimize import CostParams, _check_pairing
 
 
 _MAX_VISITS = 100_000  # most visits one simulate_plan run may make
+_MAX_SUBGRID_STEPS = 10_000  # an interval draws steps x components wear increments at once
 
 
 class PolicyError(RuntimeError):
@@ -148,8 +149,8 @@ def simulate_plan(
     _check_pairing(s, costs)
     if not 0 < horizon < math.inf:
         raise ValueError("horizon must be finite and > 0")
-    if subgrid_steps < 1:
-        raise ValueError("subgrid_steps must be >= 1")
+    if not 1 <= subgrid_steps <= _MAX_SUBGRID_STEPS:
+        raise ValueError(f"subgrid_steps must be in [1, {_MAX_SUBGRID_STEPS}]")
     rng = seed.generator()
     levels = as_levels(u0, s.n).copy()
     shapes = np.asarray([c.gamma_shape_rate for c in s.components])

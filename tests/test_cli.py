@@ -479,6 +479,8 @@ class TestConfigRejections:
             (("simulate", "horizon"), float("inf"), "simulate.horizon: expected a finite number"),
             (("seed",), HUGE_INT, "seed: expected an integer"),
             (("solver", "tau_max"), 1e9, "solver.tau_max 1e+09 at system.shock_rate 0.0025"),
+            (("solver", "grid_points"), 10**9, "solver: grid_points must be in [3, 20000]"),
+            (("simulate", "subgrid_steps"), 10**9, "simulate: subgrid_steps must be in [1, 10000]"),
         ],
         ids=[
             "unknown-key", "unknown-top-level-key", "missing-system", "string-number",
@@ -486,6 +488,7 @@ class TestConfigRejections:
             "top-level-array", "bool-seed", "nan-shock-rate", "nan-shock-mean", "huge-int-float",
             "removed-feature-mode", "removed-domain-sigmas", "int-beyond-digit-limit", "infinite-tau-max",
             "infinite-horizon", "int-seed-beyond-digit-limit", "untruncatable-horizon",
+            "huge-grid-points", "huge-subgrid-steps",
         ],
     )
     def test_bad_config_exits_2_naming_the_field(self, tmp_path, capsys, path, value, names):

@@ -89,6 +89,8 @@ def test_solver_config_validation():
         SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(grid_points=2)
+    with pytest.raises(ValueError, match=r"grid_points must be in \[3, 20000\]"):
+        SolverConfig(grid_points=20_001)
 
 
 def test_dataset_config_validation():
@@ -126,6 +128,10 @@ def test_simulate_config_validation():
         SimulateConfig(replications=0)
     with pytest.raises(ValueError):
         SimulateConfig(subgrid_steps=0)
+    with pytest.raises(ValueError, match=r"subgrid_steps must be in \[1, 10000\]"):
+        SimulateConfig(subgrid_steps=10_001)
+    with pytest.raises(ValueError, match="horizon must be finite"):
+        SimulateConfig(horizon=float("inf"))
 
 
 def test_experiment_config_rejects_cost_mismatch():

@@ -239,6 +239,8 @@ class TestSolver:
             optimal_inspection_time(system, costs, tol=0.0)
         with pytest.raises(ValueError):
             optimal_inspection_time(system, costs, grid_points=2)
+        with pytest.raises(ValueError, match=r"grid_points must be in \[3, 20000\]"):
+            optimal_inspection_time(system, costs, grid_points=20_001)
 
 
 class TestRefinement:

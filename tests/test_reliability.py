@@ -582,6 +582,14 @@ class TestQuadratureBudget:
         assert at_zero.size == first + shared
         assert np.all(ys[ends[-1]:] <= c.soft_threshold) and np.all(graded >= 0.0)
 
+    def test_a_caller_writing_to_a_stack_changes_no_later_value(self, system):
+        # each call builds its own stack: a stack shared through a cache let
+        # one caller's write turn this S_3 from 0.98757 to 0
+        c, q = system.components[0], DEFAULT_QUADRATURE
+        before = soft_survival_given_m(c, 2.0, 1.0, 3, q)
+        _damage_stack(c, 1.0, 3, q)[1][:] = 0.0
+        assert soft_survival_given_m(c, 2.0, 1.0, 3, q) == before > 0.98
+
     @pytest.mark.parametrize("nodes", [2, 3, 512, 4096])
     def test_extreme_node_counts_give_valid_reliability(self, system, nodes):
         # a window rule has at most 128 nodes, which bounds its Lanczos
@@ -612,9 +620,9 @@ class TestQuadratureBudget:
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
     def test_stacks_stay_small_when_many_shock_counts_fit(self):
         # small shock damage at a Poisson mean of 50 keeps 102 shock counts
-        # inside the headroom, and 25 solves from new states fill the stack
-        # cache; with a dense (nodes x counts) weight matrix per entry the
-        # process peaked at 154 MB.  The child reads its own peak, VmHWM:
+        # inside the headroom of each stack that 25 solves from new states
+        # build; a dense (nodes x counts) weight matrix per stack, 64 of them
+        # cached, peaked at 154 MB.  The child reads its own peak, VmHWM:
         # ru_maxrss would carry the test runner's across exec
         code = (
             "from dataclasses import replace\n"

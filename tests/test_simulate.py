@@ -268,6 +268,8 @@ class TestSimulatePlan:
             simulate_plan(system, costs, lambda u: 1.0, 0.0)
         with pytest.raises(ValueError):
             simulate_plan(system, costs, lambda u: 1.0, 12.0, subgrid_steps=0)
+        with pytest.raises(ValueError, match=r"subgrid_steps must be in \[1, 10000\]"):
+            simulate_plan(system, costs, lambda u: 1.0, 12.0, subgrid_steps=10_001)
         short = CostParams(50.0, (200.0,), 10.0)
         with pytest.raises(ValueError):
             simulate_plan(system, short, lambda u: 1.0, 12.0)
