@@ -25,7 +25,6 @@ from .optimize import (
     split_dataset,
     system_fingerprint,
     two_regime_state_sampler,
-    uniform_state_sampler,
 )
 from .reliability import (
     QuadratureSpec,

@@ -27,6 +27,7 @@ from .optimize import (
 from .reliability import _reliability_grid
 from .simulate import PolicyError, RngSeed, simulate_plan
 from .surrogate import (
+    DivergenceError,
     MlpModel,
     init_model,
     load_model,
@@ -54,10 +55,8 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def _parse_levels(spec: str | None, n: int) -> np.ndarray:
-    if spec is None:
-        return np.zeros(n)
     try:
-        vals = [float(v) for v in spec.split(",")]
+        vals = None if spec is None else [float(v) for v in spec.split(",")]
     except ValueError as exc:
         raise ValueError(f"bad u vector {spec!r}") from exc
     return as_levels(vals, n)
@@ -179,9 +178,12 @@ def _check_artifact(cfg: ExperimentConfig, fingerprint: str, bounds, what: str, 
 
 
 def _train(cfg: ExperimentConfig, ds: Dataset):
-    sur = cfg.surrogate
+    sur, eta = cfg.surrogate, cfg.surrogate.learning_rate
     model0 = init_model((cfg.system.n, *sur.hidden_sizes, 1), cfg.seed, sur.feature_mode)
-    return train(model0, ds, cfg.system, None, sur.learning_rate, sur.epochs, sur.mode, cfg.seed)
+    try:
+        return train(model0, ds, cfg.system, None, eta, sur.epochs, sur.mode, cfg.seed)
+    except DivergenceError as exc:
+        raise DivergenceError(f"surrogate.learning_rate {eta:g}: {exc}") from exc
 
 
 def _write_model_outputs(out: Path, model: MlpModel, history) -> tuple[Path, Path]:
@@ -418,7 +420,7 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args)
         return args.func(cfg, args)
-    except (ValueError, OSError, NumericsError, PolicyError) as exc:
+    except (ValueError, OSError, NumericsError, PolicyError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

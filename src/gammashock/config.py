@@ -14,10 +14,10 @@ from enum import Enum
 from typing import get_args, get_origin, get_type_hints
 
 from .core import ComponentParams, SystemModel, Topology
-from .optimize import (_MAX_GRID_POINTS, CostParams, _dump, two_regime_state_sampler,
-                       uniform_state_sampler)
+from .optimize import (CostParams, _check_pairing, _check_regimes, _check_solver, _dump,
+                       two_regime_state_sampler)
 from .reliability import QuadratureSpec, truncation_level
-from .simulate import _MAX_SUBGRID_STEPS
+from .simulate import _check_run
 from .surrogate import FeatureMode, TrainMode
 
 SCHEMA_VERSION = 1
@@ -31,12 +31,7 @@ class SolverConfig:
     grid_points: int = 100
 
     def __post_init__(self):
-        if not 0 < self.tau_min < self.tau_max:
-            raise ValueError("bounds must satisfy 0 < tau_min < tau_max")
-        if not self.tol > 0:
-            raise ValueError("tol must be > 0")
-        if not 3 <= self.grid_points <= _MAX_GRID_POINTS:
-            raise ValueError(f"grid_points must be in [3, {_MAX_GRID_POINTS}]")
+        _check_solver(self.bounds, self.tol, self.grid_points)
 
     @property
     def bounds(self) -> tuple[float, float]:
@@ -47,26 +42,16 @@ class SolverConfig:
 class DatasetConfig:
     n_scenarios: int = 60
     train_fraction: float = 0.7
-    sampler: str = "two_regime"  # "two_regime" or "uniform"
-    u_fraction: float = 0.8  # uniform: u_i ~ Uniform(0, u_fraction * H_i)
-    light_fraction: float = 0.2  # two_regime: light-wear box upper fraction
-    heavy_range: tuple[float, float] = (0.4, 0.8)  # two_regime: heavy-wear box
+    light_fraction: float = 0.2  # light-wear box upper fraction
+    heavy_range: tuple[float, float] = (0.4, 0.8)  # heavy-wear box
 
     def __post_init__(self):
-        object.__setattr__(self, "heavy_range", tuple(float(v) for v in self.heavy_range))
         if not self.n_scenarios >= 1:
             raise ValueError("n_scenarios must be >= 1")
         if not 0 < self.train_fraction < 1:
             raise ValueError("train_fraction must be in (0, 1)")
-        if self.sampler not in ("two_regime", "uniform"):
-            raise ValueError("sampler must be 'two_regime' or 'uniform'")
-        if not 0 < self.u_fraction <= 1:
-            raise ValueError("u_fraction must be in (0, 1]")
-        if not 0 < self.light_fraction <= 1:
-            raise ValueError("light_fraction must be in (0, 1]")
-        lo, hi = self.heavy_range
-        if not 0 < lo < hi <= 1:
-            raise ValueError("heavy_range must satisfy 0 < lo < hi <= 1")
+        regimes = _check_regimes(self.light_fraction, self.heavy_range)
+        object.__setattr__(self, "heavy_range", regimes)
 
 
 @dataclass(frozen=True)
@@ -96,12 +81,9 @@ class SimulateConfig:
     subgrid_steps: int = 32
 
     def __post_init__(self):
-        if not 0 < self.horizon < math.inf:
-            raise ValueError("horizon must be finite and > 0")
+        _check_run(self.horizon, self.subgrid_steps)
         if not self.replications >= 1:
             raise ValueError("replications must be >= 1")
-        if not 1 <= self.subgrid_steps <= _MAX_SUBGRID_STEPS:
-            raise ValueError(f"subgrid_steps must be in [1, {_MAX_SUBGRID_STEPS}]")
 
 
 @dataclass(frozen=True)
@@ -116,11 +98,7 @@ class ExperimentConfig:
     seed: int = 42
 
     def __post_init__(self):
-        n_costs = len(self.costs.replacement_costs)
-        if n_costs != self.system.n:
-            raise ValueError(
-                f"{n_costs} costs.replacement_costs for {self.system.n} system.components"
-            )
+        _check_pairing(self.system, self.costs)
         if not self.seed >= 0:
             raise ValueError("seed must be >= 0")
         try:
@@ -177,8 +155,6 @@ def default_config() -> ExperimentConfig:
 
 def state_sampler(dataset: DatasetConfig, system: SystemModel):
     """The scenario state sampler a DatasetConfig describes."""
-    if dataset.sampler == "uniform":
-        return uniform_state_sampler(system, dataset.u_fraction)
     return two_regime_state_sampler(system, dataset.light_fraction, dataset.heavy_range)
 
 
@@ -188,7 +164,7 @@ def _join(path: str, key) -> str:
     return f"{path}.{key}" if path else key
 
 
-_SCALARS = {float: ((int, float), "a number"), int: (int, "an integer"), str: (str, "a string")}
+_SCALARS = {float: ((int, float), "a number"), int: (int, "an integer")}
 
 
 def _load(tp, value, path: str):

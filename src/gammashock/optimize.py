@@ -82,9 +82,8 @@ class CostParams:
 
 def _check_pairing(s: SystemModel, costs: CostParams):
     if len(costs.replacement_costs) != s.n:
-        raise ValueError(
-            f"{len(costs.replacement_costs)} replacement costs for {s.n} components"
-        )
+        raise ValueError(f"{len(costs.replacement_costs)} costs.replacement_costs for "
+                         f"{s.n} system.components")
 
 
 def _check_bounds(bounds, name: str) -> tuple[float, float]:
@@ -92,6 +91,15 @@ def _check_bounds(bounds, name: str) -> tuple[float, float]:
     if not 0 < lo < hi < math.inf:
         raise ValueError(f"{name} must satisfy 0 < lo < hi < inf, got ({lo:g}, {hi:g})")
     return lo, hi
+
+
+def _check_solver(bounds, tol, grid_points) -> tuple[float, float]:
+    """Check the settings SolverConfig and optimal_inspection_time share."""
+    if not tol > 0:
+        raise ValueError("tol must be > 0")
+    if not 3 <= grid_points <= _MAX_GRID_POINTS:
+        raise ValueError(f"grid_points must be in [3, {_MAX_GRID_POINTS}]")
+    return _check_bounds(bounds, "bounds (tau_min, tau_max)")
 
 
 def _cost_rate_from(costs, taus, comps, downtime) -> np.ndarray:
@@ -131,8 +139,6 @@ def cost_rate(
     q: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> float:
     """Expected cost per unit time if the next inspection happens at tau."""
-    if not tau > 0:
-        raise ValueError("tau must be > 0")
     return float(cost_rate_batch(s, costs, np.asarray([tau], dtype=float), u, q)[0])
 
 
@@ -223,11 +229,7 @@ def optimal_inspection_time(
     boundary margin: a tau* within tol of either search bound is flagged as
     a boundary solution.
     """
-    lo, hi = _check_bounds(bounds, "bounds")
-    if not tol > 0:
-        raise ValueError("tol must be > 0")
-    if not 3 <= grid_points <= _MAX_GRID_POINTS:
-        raise ValueError(f"grid_points must be in [3, {_MAX_GRID_POINTS}]")
+    lo, hi = _check_solver(bounds, tol, grid_points)
     levels = as_levels(u, s.n)
     grid = np.geomspace(lo, hi, grid_points)
     _, scan = _scan(s, costs, grid, levels, q)
@@ -296,18 +298,14 @@ class Dataset:
         return all(sc.split in ("train", "test") for sc in self.scenarios)
 
 
-def uniform_state_sampler(
-    s: SystemModel, fraction: float = 0.8
-) -> Callable[[np.random.Generator], np.ndarray]:
-    """u_i ~ Uniform(0, fraction * H_i), independently per component."""
-    if not 0 < fraction <= 1:
-        raise ValueError("fraction must be in (0, 1]")
-    highs = np.asarray([fraction * c.soft_threshold for c in s.components])
-
-    def sample(rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(0.0, highs)
-
-    return sample
+def _check_regimes(light_fraction, heavy_range) -> tuple[float, float]:
+    """Check the fractions DatasetConfig and two_regime_state_sampler share."""
+    if not 0 < light_fraction <= 1:
+        raise ValueError("light_fraction must be in (0, 1]")
+    flo, fhi = (float(v) for v in heavy_range)
+    if not 0 < flo < fhi <= 1:
+        raise ValueError("heavy_range must satisfy 0 < lo < hi <= 1")
+    return flo, fhi
 
 
 def two_regime_state_sampler(
@@ -326,11 +324,7 @@ def two_regime_state_sampler(
     nearly tie and the winning tau flips discontinuously, which makes a
     useless regression target.
     """
-    if not 0 < light_fraction <= 1:
-        raise ValueError("light_fraction must be in (0, 1]")
-    flo, fhi = float(heavy_range[0]), float(heavy_range[1])
-    if not 0 < flo < fhi <= 1:
-        raise ValueError("heavy_range must satisfy 0 < lo < hi <= 1")
+    flo, fhi = _check_regimes(light_fraction, heavy_range)
     h = np.asarray([c.soft_threshold for c in s.components])
 
     def sample(rng: np.random.Generator) -> np.ndarray:
@@ -354,10 +348,9 @@ def generate_dataset(
 ) -> Dataset:
     """Sample states, solve each for tau*, and record solve wall times.
 
-    The default sampler draws from the two-regime distribution; pass
-    uniform_state_sampler or any callable for other designs.
+    The default sampler draws from the two-regime distribution; pass any
+    callable from a Generator to a state for another design.
     """
-    _check_pairing(s, costs)
     if n_scenarios < 1:
         raise ValueError("n_scenarios must be >= 1")
     if u_sampler is None:
@@ -476,6 +469,12 @@ def dataset_to_csv(d: Dataset, path) -> None:
     )
 
 
+def _finite_cell(rec: dict, column: str) -> float:
+    if not math.isfinite(value := float(rec[column])):
+        raise ValueError(f"column {column!r} holds {rec[column]!r}, not a finite number")
+    return value
+
+
 def dataset_from_csv(path) -> Dataset:
     """Read a dataset artifact, with LF or CRLF line ends."""
     with open(path) as fh:
@@ -490,9 +489,9 @@ def dataset_from_csv(path) -> Dataset:
         rows = tuple(
             Scenario(
                 scenario_id=int(rec["scenario_id"]),
-                u=tuple(float(rec[k]) for k in u_cols),
-                tau_star=float(rec["tau_star"]),
-                cost_rate_star=float(rec["cost_rate_star"]),
+                u=tuple(_finite_cell(rec, k) for k in u_cols),
+                tau_star=_finite_cell(rec, "tau_star"),
+                cost_rate_star=_finite_cell(rec, "cost_rate_star"),
                 split=rec.get("split", ""),
             )
             for rec in reader

@@ -82,17 +82,24 @@ class QuadratureSpec:
 DEFAULT_QUADRATURE = QuadratureSpec()
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, marked read-only: a cache hands the same ones to every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 @lru_cache(maxsize=32)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     if n > 512:  # 8x faster than numpy's at 4,096 nodes, but it loads scipy.linalg
         from scipy.special import roots_legendre
-        return roots_legendre(n)
-    return np.polynomial.legendre.leggauss(n)
+        return _read_only(*roots_legendre(n))
+    return _read_only(*np.polynomial.legendre.leggauss(n))
 
 
 @lru_cache(maxsize=256)
 def _window_gauss(a: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-node Gauss rule for the standard normal law on [a, 8]: nodes inside
+    """Read-only n-node Gauss rule for the standard normal law on [a, 8]: nodes inside
     it, weights summing to its mass there.  Lanczos with full
     reorthogonalization on a Gauss-Legendre discretization of [a, 8], in the
     Legendre variable, gives the Jacobi matrix (Golub & Welsch 1969;
@@ -110,7 +117,7 @@ def _window_gauss(a: float, n: int) -> tuple[np.ndarray, np.ndarray]:
         beta[k] = np.linalg.norm(v)
         basis[k + 1] = v / beta[k]
     nodes, vectors = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], -1))
-    return a + half * (nodes + 1.0), w.sum() * vectors[0] ** 2
+    return _read_only(a + half * (nodes + 1.0), w.sum() * vectors[0] ** 2)
 
 
 def _column_levels(mu: np.ndarray, tail_epsilon: float, top: int) -> np.ndarray:
@@ -272,8 +279,7 @@ def _grid_plan(shock_rate: float, t_bytes: bytes, tail_epsilon: float, top: int)
     t = np.frombuffer(t_bytes)
     levels = _column_levels(shock_rate * t, tail_epsilon, top)
     pmf, blocks = _poisson_pmf_grid(shock_rate, t, levels), tuple(_column_blocks(t, levels))
-    for arr in (pmf, *(cols for cols, _ in blocks)):
-        arr.flags.writeable = False
+    _read_only(pmf, *(cols for cols, _ in blocks))
     return pmf, blocks
 
 

@@ -119,6 +119,14 @@ class PlanTrace:
         return {**asdict(self), "total_cost": self.total_cost, "availability": self.availability}
 
 
+def _check_run(horizon, subgrid_steps) -> None:
+    """Check the settings SimulateConfig and simulate_plan share."""
+    if not 0 < horizon < math.inf:
+        raise ValueError("horizon must be finite and > 0")
+    if not 1 <= subgrid_steps <= _MAX_SUBGRID_STEPS:
+        raise ValueError(f"subgrid_steps must be in [1, {_MAX_SUBGRID_STEPS}]")
+
+
 def simulate_plan(
     s: SystemModel,
     costs: CostParams,
@@ -147,10 +155,7 @@ def simulate_plan(
     raises PolicyError before it is simulated.
     """
     _check_pairing(s, costs)
-    if not 0 < horizon < math.inf:
-        raise ValueError("horizon must be finite and > 0")
-    if not 1 <= subgrid_steps <= _MAX_SUBGRID_STEPS:
-        raise ValueError(f"subgrid_steps must be in [1, {_MAX_SUBGRID_STEPS}]")
+    _check_run(horizon, subgrid_steps)
     rng = seed.generator()
     levels = as_levels(u0, s.n).copy()
     shapes = np.asarray([c.gamma_shape_rate for c in s.components])

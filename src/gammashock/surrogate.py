@@ -20,8 +20,10 @@ from __future__ import annotations
 import copy
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from numbers import Real
 
 import numpy as np
 from scipy.special import expit
@@ -72,6 +74,19 @@ def _thresholds(s: SystemModel) -> np.ndarray:
     return np.asarray([c.soft_threshold for c in s.components])
 
 
+def _reals(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """value as a float array of the given shape, whose entries are finite reals (not bools)."""
+    a = np.asarray(value, dtype=object)
+    for x in a.flat:
+        if isinstance(x, bool) or not isinstance(x, Real):
+            raise ValueError(f"{name}: expected real numbers, got {type(x).__name__}")
+        if not abs(x) <= sys.float_info.max:  # NaN, infinities and ints past the float range
+            raise ValueError(f"{name}: expected finite numbers in the float range")
+    if a.shape != shape:
+        raise ValueError(f"{name}: expected shape {shape}, got {a.shape}")
+    return a.astype(float)
+
+
 @dataclass
 class MlpModel:
     """Network parameters plus the scaling and provenance it was fit with."""
@@ -96,22 +111,19 @@ class MlpModel:
         self.layer_sizes = ls
         if len(self.weights) != len(ls) - 1 or len(self.biases) != len(ls) - 1:
             raise ValueError("one weight and bias array per layer required")
-        self.weights = [np.asarray(w, dtype=float) for w in self.weights]
-        self.biases = [np.asarray(b, dtype=float) for b in self.biases]
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape != (ls[l + 1], ls[l]) or b.shape != (ls[l + 1],):
-                raise ValueError(f"layer {l} arrays do not match layer_sizes")
-        self.input_shift = np.asarray(self.input_shift, dtype=float)
-        self.input_scale = np.asarray(self.input_scale, dtype=float)
-        self.output_shift = float(self.output_shift)
-        self.output_scale = float(self.output_scale)
+        self.weights = [_reals(f"weights[{l}]", w, (ls[l + 1], ls[l]))
+                        for l, w in enumerate(self.weights)]
+        self.biases = [_reals(f"biases[{l}]", b, (ls[l + 1],)) for l, b in enumerate(self.biases)]
+        self.input_shift = _reals("input_shift", self.input_shift, (ls[0],))
+        self.input_scale = _reals("input_scale", self.input_scale, (ls[0],))
+        self.output_shift = float(_reals("output_shift", self.output_shift, ()))
+        self.output_scale = float(_reals("output_scale", self.output_scale, ()))
         self.feature_mode = FeatureMode(self.feature_mode)
         if self.clamp_bounds is not None:
-            self.clamp_bounds = _check_bounds(self.clamp_bounds, "clamp_bounds")
+            bounds = _reals("clamp_bounds", self.clamp_bounds, (2,))
+            self.clamp_bounds = _check_bounds(bounds, "clamp_bounds")
         if not all(isinstance(f, str) for f in (self.system_fingerprint, self.dataset_fingerprint)):
             raise ValueError("fingerprints must be strings")
-        if self.input_shift.shape != (ls[0],) or self.input_scale.shape != (ls[0],):
-            raise ValueError("input scaler must have one entry per feature")
         if np.any(self.input_scale == 0) or self.output_scale == 0:
             raise ValueError("scalers must have nonzero scale")
 

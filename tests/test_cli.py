@@ -218,6 +218,14 @@ class TestDataPipelineCommands:
              "unknown key 'dataset_fingerprnt'"),
             (json.dumps(unstamped), "missing key 'dataset_fingerprint'"),
             (json.dumps({**full, "clamp_bounds": [50, 0.1]}), "clamp_bounds must satisfy"),
+            (json.dumps({**full, "output_scale": "2"}),
+             "output_scale: expected real numbers, got str"),
+            (json.dumps({**full, "output_shift": True}),
+             "output_shift: expected real numbers, got bool"),
+            (json.dumps({**full, "input_scale": ["1"] * 3}),
+             "input_scale: expected real numbers, got str"),
+            (json.dumps({**full, "output_shift": math.nan}),
+             "output_shift: expected finite numbers"),
         )
         for text, names in cases:
             bad.write_text(text)
@@ -231,6 +239,17 @@ class TestDataPipelineCommands:
         assert main(["train", "--dataset", str(bad), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert str(bad) in err and "'tau_star'" in err
+
+    def test_dataset_with_a_non_finite_cell_exits_2_naming_the_column(self, tmp_path, capsys):
+        bad = tmp_path / "dataset.csv"
+        header = "scenario_id,u_1,u_2,u_3,tau_star,cost_rate_star,split\n"
+        for row, column in (("0,1,2,3,nan,20,train", "tau_star"),
+                            ("0,1,inf,3,4,20,train", "u_2"),
+                            ("0,1,2,3,4,-inf,train", "cost_rate_star")):
+            bad.write_text(header + row + "\n")
+            assert main(["train", "--dataset", str(bad), "--out", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert str(bad) in err and f"column {column!r}" in err and "Traceback" not in err
 
     def test_simulate_refuses_a_model_trained_for_other_costs(
         self, trained_dir, tmp_path, capsys
@@ -330,6 +349,15 @@ class TestPipelineCommand:
         for name in names:
             data = (out / name).read_bytes()
             assert b"\r" not in data and data.endswith(b"\n"), name
+
+
+    def test_a_diverging_training_exits_2_naming_the_learning_rate(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, surrogate__learning_rate=1000.0, dataset__n_scenarios=8,
+                           surrogate__epochs=5)
+        assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: surrogate.learning_rate 1000: train MSE")
+        assert "Traceback" not in err
 
 
 class TestSimulateCommand:
@@ -474,6 +502,8 @@ class TestConfigRejections:
             (("solver", "tau_max"), 10**400, "solver.tau_max: integer beyond the float range"),
             (("surrogate", "feature_mode"), "u_plus_params", "surrogate.feature_mode: expected"),
             (("quadrature", "domain_sigmas"), 8.0, "quadrature.domain_sigmas: unknown key"),
+            (("dataset", "sampler"), "uniform", "dataset.sampler: unknown key"),
+            (("dataset", "u_fraction"), 0.8, "dataset.u_fraction: unknown key"),
             (("solver", "tau_max"), HUGE_INT, "solver.tau_max: expected a finite number"),
             (("solver", "tau_max"), float("inf"), "solver.tau_max: expected a finite number"),
             (("simulate", "horizon"), float("inf"), "simulate.horizon: expected a finite number"),
@@ -486,7 +516,8 @@ class TestConfigRejections:
             "unknown-key", "unknown-top-level-key", "missing-system", "string-number",
             "missing-component-field", "fractional-int", "huge-node-count", "null-section",
             "top-level-array", "bool-seed", "nan-shock-rate", "nan-shock-mean", "huge-int-float",
-            "removed-feature-mode", "removed-domain-sigmas", "int-beyond-digit-limit", "infinite-tau-max",
+            "removed-feature-mode", "removed-domain-sigmas", "removed-sampler",
+            "removed-u-fraction", "int-beyond-digit-limit", "infinite-tau-max",
             "infinite-horizon", "int-seed-beyond-digit-limit", "untruncatable-horizon",
             "huge-grid-points", "huge-subgrid-steps",
         ],

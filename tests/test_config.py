@@ -22,8 +22,9 @@ from gammashock.config import (
     state_sampler,
 )
 from gammashock.core import ComponentParams, SystemModel
-from gammashock.optimize import CostParams
+from gammashock.optimize import CostParams, optimal_inspection_time, two_regime_state_sampler
 from gammashock.reliability import QuadratureSpec
+from gammashock.simulate import simulate_plan
 
 
 def test_default_config_shape():
@@ -101,10 +102,6 @@ def test_dataset_config_validation():
     with pytest.raises(ValueError):
         DatasetConfig(train_fraction=1.0)
     with pytest.raises(ValueError):
-        DatasetConfig(sampler="stratified")
-    with pytest.raises(ValueError):
-        DatasetConfig(u_fraction=0.0)
-    with pytest.raises(ValueError):
         DatasetConfig(light_fraction=1.5)
     with pytest.raises(ValueError):
         DatasetConfig(heavy_range=(0.8, 0.4))
@@ -134,6 +131,38 @@ def test_simulate_config_validation():
         SimulateConfig(horizon=float("inf"))
 
 
+@pytest.mark.parametrize(
+    "section, field, bad",
+    [
+        (SolverConfig, "tau_min", 60.0),
+        (SolverConfig, "grid_points", 20_001),
+        (SolverConfig, "tol", 0.0),
+        (SimulateConfig, "horizon", float("inf")),
+        (SimulateConfig, "subgrid_steps", 0),
+        (DatasetConfig, "light_fraction", 1.5),
+        (DatasetConfig, "heavy_range", (0.8, 0.4)),
+    ],
+)
+def test_config_and_library_reject_a_value_alike(system, costs, section, field, bad):
+    # each rule has one owner, called by the config dataclass and the library
+    library = {
+        "tau_min": lambda: optimal_inspection_time(system, costs, bounds=(bad, 50.0)),
+        "grid_points": lambda: optimal_inspection_time(system, costs, grid_points=bad),
+        "tol": lambda: optimal_inspection_time(system, costs, tol=bad),
+        "horizon": lambda: simulate_plan(system, costs, lambda u: 1.0, bad),
+        "subgrid_steps": lambda: simulate_plan(system, costs, lambda u: 1.0, 12.0,
+                                               subgrid_steps=bad),
+        "light_fraction": lambda: two_regime_state_sampler(system, light_fraction=bad),
+        "heavy_range": lambda: two_regime_state_sampler(system, heavy_range=bad),
+    }[field]
+    with pytest.raises(ValueError) as from_config:
+        section(**{field: bad})
+    with pytest.raises(ValueError) as from_library:
+        library()
+    assert str(from_config.value) == str(from_library.value)
+    assert field in str(from_config.value)
+
+
 def test_experiment_config_rejects_cost_mismatch():
     cfg = default_config()
     doc = config_to_dict(cfg)
@@ -145,10 +174,6 @@ def test_experiment_config_rejects_cost_mismatch():
 def test_sampler_dispatch(system):
     rng = np.random.default_rng(1)
     h = np.asarray([c.soft_threshold for c in system.components])
-    uniform = state_sampler(DatasetConfig(sampler="uniform", u_fraction=0.5), system)
-    for _ in range(50):
-        u = uniform(rng)
-        assert np.all((u >= 0) & (u <= 0.5 * h))
     two = state_sampler(DatasetConfig(), system)
     for _ in range(50):
         u = two(rng)

@@ -27,7 +27,6 @@ from gammashock.optimize import (
     split_dataset,
     system_fingerprint,
     two_regime_state_sampler,
-    uniform_state_sampler,
 )
 from .test_core import make_component
 
@@ -369,19 +368,6 @@ class TestScanRule:
 
 
 class TestStateSamplers:
-    def test_uniform_bounds(self, system):
-        sample = uniform_state_sampler(system, 0.8)
-        rng = np.random.default_rng(5)
-        highs = 0.8 * np.asarray([c.soft_threshold for c in system.components])
-        for _ in range(200):
-            u = sample(rng)
-            assert np.all(u >= 0.0) and np.all(u <= highs)
-
-    def test_uniform_validation(self, system):
-        for f in (0.0, 1.5, -0.2):
-            with pytest.raises(ValueError):
-                uniform_state_sampler(system, f)
-
     def test_two_regime_draws_stay_in_their_boxes(self, system):
         sample = two_regime_state_sampler(system)
         rng = np.random.default_rng(6)
@@ -542,9 +528,10 @@ class TestDatasetCsv:
             ("# bounds=1\nscenario_id,u_1,tau_star,cost_rate_star\n0,1,4,20\n", "expected 2"),
             ("# bounds=50,0.1\nscenario_id,u_1,tau_star,cost_rate_star\n0,1,4,20\n", "0 < lo < hi"),
             ("# bounds=0.1,inf\nscenario_id,u_1,tau_star,cost_rate_star\n0,1,4,20\n", "0 < lo < hi"),
+            ("scenario_id,u_1,tau_star,cost_rate_star\n0,1,NaN,20\n", "column 'tau_star' holds 'NaN'"),
         ],
         ids=["comments-only", "no-target-column", "non-numeric-cell", "short-row", "one-bound",
-             "reversed-bounds", "infinite-bound"],
+             "reversed-bounds", "infinite-bound", "non-finite-cell"],
     )
     def test_malformed_file_is_an_error_naming_it(self, tmp_path, text, names):
         path = tmp_path / "bad.csv"

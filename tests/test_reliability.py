@@ -25,6 +25,7 @@ from gammashock.reliability import (
     _column_levels,
     _damage_stack,
     _grid_plan,
+    _leggauss,
     _poisson_pmf_grid,
     _reliability_grid,
     _soft_survival_grid,
@@ -589,6 +590,18 @@ class TestQuadratureBudget:
         before = soft_survival_given_m(c, 2.0, 1.0, 3, q)
         _damage_stack(c, 1.0, 3, q)[1][:] = 0.0
         assert soft_survival_given_m(c, 2.0, 1.0, 3, q) == before > 0.98
+
+    def test_a_caller_cannot_write_to_a_cached_rule(self, system):
+        # the Gauss rules are cached and shared: zeroing the weights of this
+        # window's rule once turned this S_1 from 0.99925 to 0
+        c, q = system.components[0], DEFAULT_QUADRATURE
+        before = soft_survival_given_m(c, 2.0, 1.0, 1, q)
+        for rule in (_window_gauss(-4.0, 16), _leggauss(q.node_count)):
+            for arr in rule:
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[:] = 0.0
+        assert soft_survival_given_m(c, 2.0, 1.0, 1, q) == before
+        assert round(before, 5) == 0.99925
 
     @pytest.mark.parametrize("nodes", [2, 3, 512, 4096])
     def test_extreme_node_counts_give_valid_reliability(self, system, nodes):

@@ -161,6 +161,24 @@ class TestInitModel:
             )
 
 
+    def test_model_takes_only_finite_real_numbers(self):
+        m = init_model((2, 3, 1), seed=0)
+        base = dict(layer_sizes=(2, 3, 1), weights=m.weights, biases=m.biases,
+                    input_shift=np.zeros(2), input_scale=np.ones(2))
+        assert MlpModel(**{**base, "output_scale": np.int64(2)}).output_scale == 2.0
+        for edit, names in (
+            ({"input_scale": np.ones(2, dtype=bool)}, "input_scale: expected real numbers, got bool"),
+            ({"biases": [m.biases[0], ["0"]]}, "biases[1]: expected real numbers, got str"),
+            ({"output_shift": 10**400}, "output_shift: expected finite numbers"),
+            ({"input_shift": [0.0, -math.inf]}, "input_shift: expected finite numbers"),
+            ({"input_shift": np.zeros(3)}, "input_shift: expected shape (2,), got (3,)"),
+            ({"clamp_bounds": ("0.1", 50.0)}, "clamp_bounds: expected real numbers, got str"),
+        ):
+            with pytest.raises(ValueError) as err:
+                MlpModel(**{**base, **edit})
+            assert names in str(err.value)
+
+
 class TestForward:
     def test_zero_network_outputs_its_bias(self):
         m = init_model((3, 4, 1), seed=1)
