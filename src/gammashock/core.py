@@ -125,16 +125,11 @@ def gamma_cdf(x, shape, rate):
     arrays.  Evaluated by the series / continued-fraction pair for the
     regularized incomplete gamma function, |error| <= 1e-10.
     """
-    shape_arr = np.asarray(shape, dtype=float)
-    rate_arr = np.asarray(rate, dtype=float)
-    if np.any(shape_arr <= 0) or np.any(rate_arr <= 0):
+    shape_arr, rate_arr = np.asarray(shape, dtype=float), np.asarray(rate, dtype=float)
+    if not (shape_arr.min(initial=np.inf) > 0 and rate_arr.min(initial=np.inf) > 0):
         raise ValueError("shape and rate must be > 0")
-    x_arr = np.asarray(x, dtype=float)
-    z = np.where(x_arr > 0, x_arr, 0.0) * rate_arr
-    out = _special.gammainc(shape_arr, z)
-    if np.isscalar(x) and np.isscalar(shape) and np.isscalar(rate):
-        return float(out)
-    return out
+    out = _special.gammainc(shape_arr, np.fmax(np.asarray(x, dtype=float), 0.0) * rate_arr)
+    return float(out) if out.ndim == 0 else out
 
 
 class DamageSum(NamedTuple):

@@ -42,6 +42,7 @@ from .reliability import (
     QuadratureSpec,
     _as_time_grid,
     _leggauss,
+    _read_only,
     _reliability_grid,
     component_reliability,  # unused here; perfbench/tracing.py wraps both by this path
     system_reliability,
@@ -182,6 +183,14 @@ def _scan(s, costs, grid, levels, q):
     return cum, _cost_rate_from(costs, grid, comps[:, 2:], cum)
 
 
+@lru_cache(maxsize=16)
+def _vandermonde(first: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Vandermonde matrix at the offsets first..first + k - 1 over
+    (k - 1) / 2, and its inverse."""
+    v = np.vander(np.arange(first, first + k) / ((k - 1) / 2), increasing=True)
+    return _read_only(v, np.linalg.inv(v))
+
+
 def _fit_minimum(grid, cr, i) -> tuple[float, float]:
     """(tau, value) at the minimum over [grid[i - 1], grid[i + 1]], clipped to the
     grid, of the polynomial in offsets k - i of ln tau through cr on _log_time_rule's
@@ -189,7 +198,9 @@ def _fit_minimum(grid, cr, i) -> tuple[float, float]:
     n = grid.size
     idx = _log_time_rule(n)[0][min(i, n - 2)]
     half = (idx.size - 1) / 2  # offsets / half lie in about [-1, 1], where the fit keeps its digits
-    c = P.polyfit((idx - i) / half, cr[idx], idx.size - 1)
+    v, inv = _vandermonde(int(idx[0]) - i, idx.size)
+    c = inv @ cr[idx]
+    c += inv @ (cr[idx] - v @ c)  # one refinement step leaves the residual of a stable solve
     ends = np.asarray([max(i - 1, 0), min(i + 1, n - 1)])
     x = half * P.polyroots(P.polyder(c))
     x = x[(x.imag == 0) & (x.real > ends[0] - i) & (x.real < ends[1] - i)].real
@@ -385,13 +396,9 @@ def split_dataset(d: Dataset, train_fraction: float, seed: int) -> Dataset:
     k = int(round(n * train_fraction))
     if k < 1 or k > n - 1:
         raise ValueError("train_fraction leaves an empty split")
-    rng = np.random.default_rng((seed, _STREAM_SPLIT))
-    order = rng.permutation(n)
-    train_ids = set(int(i) for i in order[:k])
-    rows = tuple(
-        replace(sc, split="train" if sc.scenario_id in train_ids else "test")
-        for sc in d.scenarios
-    )
+    train = np.zeros(n, dtype=bool)
+    train[np.random.default_rng((seed, _STREAM_SPLIT)).permutation(n)[:k]] = True  # by row position
+    rows = tuple(replace(sc, split="train" if t else "test") for sc, t in zip(d.scenarios, train))
     return Dataset(d.fingerprint, d.bounds, rows)
 
 
@@ -496,6 +503,11 @@ def dataset_from_csv(path) -> Dataset:
             )
             for rec in reader
         )
+        seen = set()
+        for sc in rows:
+            if sc.scenario_id in seen:
+                raise ValueError(f"column 'scenario_id' holds {sc.scenario_id} more than once")
+            seen.add(sc.scenario_id)
         bounds = meta["bounds"].split(",") if "bounds" in meta else DEFAULT_BOUNDS
         return Dataset(meta.get("fingerprint", ""), bounds, rows)
     except KeyError as exc:

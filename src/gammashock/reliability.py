@@ -20,15 +20,18 @@ every component is, a parallel one if any is.  Series books the tail
 past M as failure, parallel as survival: the exact value lies within
 tail_epsilon above or below R.
 
-Each time t_j is truncated at its own level M_j, so a value does not
-depend on the other times in the call.  The damage nodes for every m
-are stacked, the shared graded set last; a component evaluates the
-gamma CDF on each time's prefix of the stack, in blocks of times sorted
-by level, sums each window's weighted segment and takes the graded rows
-as one product with their weight matrix, skipping times where a Chernoff
-bound puts every S_m below 2^-60.  A grid's pmf and blocks are memoized
-per grid.  _reliability_grid returns the system's and every component's
-reliability from one set of alive factors.
+Each time t_j is truncated at its own level M_j, and its windows below
+the headroom get nodes by the Poisson weight of its own decade band of
+shock_rate * t_j (see _row_tiers), so a value does not depend on the
+other times in the call.  A component evaluates the gamma CDF on each
+block's window nodes, then the shared graded set, in blocks of times
+sorted by level and band, sums each window's weighted segment and takes
+the graded rows as one product with their weight matrix, skipping times
+where a Chernoff bound puts every S_m below 2^-60.  A grid's pmf and
+blocks are memoized per grid, and the window nodes per component and
+tier pattern, as they do not depend on u.  _reliability_grid returns the
+system's and every component's reliability from one set of alive
+factors.
 """
 from __future__ import annotations
 
@@ -37,7 +40,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
-from scipy.special import gammaln, pdtrc
+from scipy.special import gammaln, pdtrc, xlogy
 
 from .core import (
     ComponentParams,
@@ -55,6 +58,7 @@ _MAX_WINDOW_NODES = 128  # of one window rule, whose Lanczos basis is (n + 1) x 
 _MAX_NODE_COUNT = 4096  # a kernel call holds columns x node_count elements
 _MAX_TRUNCATION = 20_000  # shock counts; a grid holds that many rows per time and component
 _BLOCK_COLUMNS = 32  # fewest time columns per gamma-CDF call, when there are that many
+_TIER_PMF = (0.1, 1e-3)  # the largest pmf over a band that keeps a row at tier 0, at tier 1
 
 
 @dataclass(frozen=True)
@@ -63,9 +67,12 @@ class QuadratureSpec:
 
     node_count      graded Gauss-Legendre nodes shared by the damage windows
                     that reach the headroom (2 to 4,096); a window below it
-                    gets 3 * node_count // 8 nodes of a Gauss rule for the
-                    normal law on its span, or node_count // 2 if cut at 0
-                    (1 to 128 each); 32 keep R within 1e-7 of a 512-node rule
+                    gets up to 3 * node_count // 8 nodes of a Gauss rule for
+                    the normal law on its span, or node_count // 2 if cut at
+                    0 (1 to 128 each): all of them where its shock count's
+                    largest Poisson weight over the time's decade band
+                    exceeds 0.1, half above 1e-3 and a quarter below that;
+                    32 keep R within 1e-7 of a 512-node rule
     tail_epsilon    Poisson mass allowed beyond the truncation level
     """
 
@@ -152,74 +159,114 @@ def _poisson_pmf_grid(shock_rate: float, t: np.ndarray, levels: np.ndarray) -> n
     return np.where((m <= levels) & ((mu > 0) | (m == 0)), np.exp(logp), 0.0)
 
 
-def _damage_stack(c: ComponentParams, u: float, max_m: int, q: QuadratureSpec):
-    """Stacked damage-convolution nodes for m = 0..max_m at level u.
-
-    Returns (ys, weights, ends, graded, at_zero).  Up to the first window
-    that reaches the headroom H - u, segment m of ys, ending at ends[m],
-    holds window m's nodes (one node carrying weight 1 for a point mass),
-    with one weight per node in weights.  That window sets one graded
-    node set, which ends ys; it and every later window weight the set by
-    their own density, one row of graded each.  at_zero[m] is the t = 0
-    survival, row m's weight sum.  The stack stops before the first m
-    whose damage mass lies beyond the headroom H - u > 0 (the window only
-    moves further out as m grows), so S_m is 0 from there.
-    """
-    head = c.soft_threshold - u
-    nodes, gl_weights = _leggauss(q.node_count)
+@lru_cache(maxsize=64)
+def _windows(c: ComponentParams, q: QuadratureSpec, tiers: bytes):
+    """Read-only (ys, weights, bounds, sums) of the damage windows m < len(tiers)
+    that end below H; the first that does not ends them, as every window below
+    a headroom H - u <= H comes before it (see _damage_stack).  Segment m,
+    ys[bounds[m]:bounds[m + 1]], holds a Gauss rule for the law of window m on
+    [max(0, m mu - 8 sd), m mu + 8 sd], of 3 * node_count // 8 nodes
+    (node_count // 2 if cut at 0) shifted right by its tier tiers[m], at
+    least 1; a point mass is one node of weight 1.  sums[m] is window m's
+    weight sum, its t = 0 survival.  The windows do not depend on u, so one
+    entry serves every state."""
     uncut_count, cut_count = (
         min(max(k, 1), _MAX_WINDOW_NODES) for k in (3 * q.node_count // 8, q.node_count // 2)
     )
-    ys, wds, graded = [], [], []  # node arrays, their weights, rows of graded weights
-    shared = np.empty(0)
-    for m in range(max_m + 1):
+    ys, wds = [], []
+    for m, tier in enumerate(tiers):
         law = damage_sum_distribution(c, m)
+        sd = np.sqrt(law.variance)
+        if not law.mean + _WINDOW_SIGMAS * sd < c.soft_threshold:
+            break
         if law.degenerate:
-            if not law.mean < head:
-                break
             ys.append(np.asarray([law.mean]))
             wds.append(np.ones(1))
             continue
-        sd = np.sqrt(law.variance)
-        lo, hi = max(0.0, law.mean - _WINDOW_SIGMAS * sd), min(head, law.mean + _WINDOW_SIGMAS * sd)
-        if not hi > lo:
-            break
-        if hi == head:  # graded toward the (H - u - y)^(alpha t) end, set once
-            if not shared.size:
-                s = 0.5 * (nodes + 1.0)
-                shared, shared_w = head - (head - lo) * s ** 2, (head - lo) * s * gl_weights
-            graded.append(shared_w * _normal_pdf(shared, law.mean, sd))
-            continue
-        # below H - u: a rule for the law on [max(0, m mu - 8 sd), m mu + 8 sd]
-        n = cut_count if lo == 0.0 else uncut_count
-        x, w = _window_gauss(max(-law.mean / sd, -_WINDOW_SIGMAS), n)
+        n = cut_count if law.mean - _WINDOW_SIGMAS * sd <= 0.0 else uncut_count
+        x, w = _window_gauss(max(-law.mean / sd, -_WINDOW_SIGMAS), max(n >> tier, 1))
         ys.append(law.mean + sd * x)
         wds.append(w)
-    ends = list(accumulate(y.size for y in ys))
-    weights, graded = np.concatenate(wds), np.reshape(graded, (-1, q.node_count))
-    at_zero = np.concatenate([np.add.reduceat(weights, [0, *ends[:-1]]), graded.sum(axis=1)])
-    return np.concatenate([*ys, shared]), weights, ends, graded, at_zero
+    bounds = np.asarray([0, *accumulate(y.size for y in ys)])
+    weights = np.concatenate(wds)
+    return _read_only(np.concatenate(ys), weights, bounds, np.add.reduceat(weights, bounds[:-1]))
 
 
-def _normal_pdf(y: np.ndarray, mean: float, sd: float) -> np.ndarray:
+def _damage_stack(c: ComponentParams, u: float, max_m: int, q: QuadratureSpec):
+    """The damage rows for m = 0..max_m at level u.
+
+    Returns (flat, shared, graded, at_zero, reach).  The first `flat` rows
+    are windows below the headroom H - u (see _windows).  The first window
+    that reaches the headroom sets one set of node_count Gauss-Legendre
+    nodes graded toward H - u, `shared` (as H - u - y); it and every later
+    window weight the set by their own density, one row of graded each.
+    at_zero[m] is the t = 0 survival, row m's weight sum at full node
+    counts, and reach bounds H - u - y over every node.  The rows stop
+    before the first m whose damage mass lies beyond the headroom H - u > 0
+    (the window only moves further out as m grows), so S_m is 0 from there.
+    """
+    head = c.soft_threshold - u
+    m = np.arange(max_m + 1)
+    mean, sd = m * c.shock_damage_mean, np.sqrt(m * c.shock_damage_sd ** 2)
+    lo, end, point = np.maximum(0.0, mean - _WINDOW_SIGMAS * sd), mean + _WINDOW_SIGMAS * sd, sd == 0.0
+    rows = int(np.argmin(np.append(np.where(point, mean < head, np.minimum(head, end) > lo), False)))
+    flat = int(np.argmax(np.append(~point[:rows] & (end[:rows] >= head), True)))
+    shared, graded = np.empty(0), np.empty((0, q.node_count))
+    if rows > flat:  # graded toward the (H - u - y)^(alpha t) end
+        nodes, gl_weights = _leggauss(q.node_count)
+        s = 0.5 * (nodes + 1.0)
+        y = head - (head - lo[flat]) * s ** 2
+        graded = (head - lo[flat]) * s * gl_weights * _normal_pdf(y, mean[flat:rows, None], sd[flat:rows, None])
+        shared = head - y
+    at_zero = np.concatenate([_windows(c, q, bytes(max_m + 1))[3][:flat], graded.sum(axis=1)])
+    return flat, shared, graded, at_zero, head - mean[:rows].min(initial=0.0)
+
+
+def _normal_pdf(y: np.ndarray, mean, sd) -> np.ndarray:
     return np.exp(-0.5 * ((y - mean) / sd) ** 2) / (sd * _SQRT_2PI)
 
 
-def _column_blocks(t: np.ndarray, levels: np.ndarray) -> list[tuple[np.ndarray, int]]:
-    """(columns, rows) blocks of the times t > 0, grouped in order of level
-    into blocks of at least _BLOCK_COLUMNS (fewer only when there are fewer
-    times), each cut where the level rises.  A block is evaluated for its
-    highest level, on `rows` = that level + 1 shock counts, so small blocks
-    save kernel elements and large ones save calls."""
+def _bands(mu: np.ndarray) -> np.ndarray:
+    """The decade band b, 10^b <= mu < 10^(b + 1), of each Poisson mean; a mean
+    of 0 joins the band of 1e-300, where only m = 0 has weight."""
+    return np.floor(np.log10(np.maximum(mu, 1e-300))).astype(int)
+
+
+def _row_tiers(band: int, rows: int) -> np.ndarray:
+    """Read-only tier of each shock count m < rows for times in decade `band`:
+    0 (every node of a window below the headroom) where the largest pmf(m; mu)
+    over the band, pmf(m; clip(m, 10^b, 10^(b + 1))), exceeds 0.1, 1 (half)
+    where it exceeds 1e-3 and 2 (a quarter) below that."""
+    m = np.arange(rows, dtype=float)
+    mu = np.clip(m, 10.0 ** band, 10.0 ** (band + 1))
+    peak = np.exp(xlogy(m, mu) - mu - gammaln(m + 1.0))
+    return _read_only(((peak <= _TIER_PMF[0]) + (peak <= _TIER_PMF[1]).astype(np.int8)))[0]
+
+
+def _column_blocks(t: np.ndarray, levels: np.ndarray, bands: np.ndarray):
+    """(columns, rows, tiers) blocks of the times t > 0, in order of level and
+    band.  A block is evaluated for its highest level, on `rows` = that level
+    + 1 shock counts, row m at tier tiers[m] (see _row_tiers).  Blocks are cut
+    where the level rises and both sides hold at least _BLOCK_COLUMNS times
+    (fewer blocks save calls, smaller ones kernel elements), and wherever the
+    next band's tiers differ from the block's on the rows both use, so every
+    time's rows take its own band's tiers."""
     alive = np.flatnonzero(t > 0)
-    order = alive[np.argsort(levels[alive], kind="stable")]
-    ranked = levels[order]
-    cuts = [0]
-    for k in np.flatnonzero(np.diff(ranked)) + 1:
-        if k - cuts[-1] >= _BLOCK_COLUMNS and ranked.size - k >= _BLOCK_COLUMNS:
-            cuts.append(k)
-    cuts.append(ranked.size)
-    return [(order[a:b], int(ranked[b - 1]) + 1) for a, b in zip(cuts, cuts[1:]) if b > a]
+    if not alive.size:
+        return []
+    order = alive[np.lexsort((bands[alive], levels[alive]))]
+    ranked, ranked_bands = levels[order], bands[order]
+    blocks, first = [], 0
+    tiers = _row_tiers(int(ranked_bands[0]), int(ranked[0]) + 1)
+    for k in np.flatnonzero(np.diff(ranked) | np.diff(ranked_bands)) + 1:
+        nxt = _row_tiers(int(ranked_bands[k]), int(ranked[k]) + 1)
+        rise = ranked[k] > ranked[k - 1] and min(k - first, ranked.size - k) >= _BLOCK_COLUMNS
+        if rise or not np.array_equal(nxt[:tiers.size], tiers):
+            blocks.append((order[first:k], tiers.size, tiers))
+            first = k
+        tiers = nxt
+    blocks.append((order[first:], tiers.size, tiers))
+    return blocks
 
 
 def _soft_survival_grid(
@@ -228,26 +275,27 @@ def _soft_survival_grid(
     """Matrix S[m, j] = P(X(t_j) + damage_m + u < H), shape (top + 1, len(t)),
     for m below each block's rows; entries past them are left at 0, as are the
     times where, by Chernoff, every S_m <= max(at_zero) exp(-a (r - 1 - ln r))
-    < 2^-60 (a = alpha t, r = beta (H - u - min ys) / a < 1; a suffix in t)."""
+    < 2^-60 (a = alpha t, r = beta reach / a < 1; a suffix in t)."""
     out = np.zeros((top + 1, t.size))
     head = c.soft_threshold - u
     if head <= 0:
         return out
-    ys, weights, ends, graded, at_zero = _damage_stack(c, u, top, q)
+    n_flat, shared, graded, at_zero, reach = _damage_stack(c, u, top, q)
     out[:at_zero.size, t == 0] = at_zero[:, None]
-    reach, floor = c.gamma_rate * (head - ys.min()), np.log(2.0 ** 60 * at_zero.max())
-    for cols, rows in blocks:
-        a = c.gamma_shape_rate * t[cols]
-        r = reach / np.maximum(a, reach)  # r = 1, no bound, where beta x >= a
-        live = a * (r - 1.0 - np.log(r)) <= floor
-        if not live.any():
+    reach, shape = c.gamma_rate * reach, c.gamma_shape_rate * t
+    r = reach / np.maximum(shape, reach)  # r = 1, no bound, where beta x >= a
+    live = shape * (r - 1.0 - np.log(r)) <= np.log(2.0 ** 60 * at_zero.max())
+    for cols, rows, tiers in blocks:
+        cols = cols[live[cols]]
+        if not cols.size:
             continue
-        cols, a = cols[live], a[live]
         rows = min(rows, at_zero.size)
-        flat = min(rows, len(ends))  # the rest weight the shared graded set
-        e = ends[flat - 1]
-        g = gamma_cdf(head - ys[None, :e if rows == flat else None], a[:, None], c.gamma_rate)
-        out[:flat, cols] = np.add.reduceat(g[:, :e] * weights[:e], [0, *ends[:flat - 1]], axis=1).T
+        flat = min(rows, n_flat)  # the rest weight the shared graded set
+        ys, weights, bounds, _ = _windows(c, q, tiers.tobytes())
+        e = bounds[flat]
+        x = head - ys[:e]
+        g = gamma_cdf(np.concatenate((x, shared)) if rows > flat else x, shape[cols, None], c.gamma_rate)
+        out[:flat, cols] = np.add.reduceat(g[:, :e] * weights[:e], bounds[:flat], axis=1).T
         if rows > flat:
             out[flat:rows, cols] = graded[:rows - flat] @ g[:, e:].T
     return np.clip(out, 0.0, 1.0)
@@ -260,7 +308,7 @@ def soft_survival_given_m(
     if t < 0 or u < 0 or m < 0:
         raise ValueError("t, u and m must be >= 0")
     grid = np.asarray([t], dtype=float)
-    blocks = _column_blocks(grid, np.asarray([m]))
+    blocks = [(np.flatnonzero(grid > 0), m + 1, np.zeros(m + 1, np.int8))]  # every node: no Poisson weight
     return float(_soft_survival_grid(c, grid, u, m, blocks, q)[m, 0])
 
 
@@ -278,8 +326,9 @@ def _grid_plan(shock_rate: float, t_bytes: bytes, tail_epsilon: float, top: int)
     """Read-only (pmf, blocks) for the float64 times in t_bytes, cut at top."""
     t = np.frombuffer(t_bytes)
     levels = _column_levels(shock_rate * t, tail_epsilon, top)
-    pmf, blocks = _poisson_pmf_grid(shock_rate, t, levels), tuple(_column_blocks(t, levels))
-    _read_only(pmf, *(cols for cols, _ in blocks))
+    pmf = _poisson_pmf_grid(shock_rate, t, levels)
+    blocks = tuple(_column_blocks(t, levels, _bands(shock_rate * t)))
+    _read_only(pmf, *(cols for cols, _, _ in blocks))
     return pmf, blocks
 
 

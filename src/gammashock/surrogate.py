@@ -23,7 +23,7 @@ import math
 import sys
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 from scipy.special import expit
@@ -87,6 +87,17 @@ def _reals(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
     return a.astype(float)
 
 
+def _layer_sizes(value) -> tuple[int, ...]:
+    """value as (inputs, hidden..., 1), whose entries are integers (not bools)."""
+    ls = tuple(value)
+    for v in ls:
+        if isinstance(v, bool) or not isinstance(v, Integral):
+            raise ValueError(f"layer_sizes: expected integers, got {type(v).__name__}")
+    if len(ls) < 2 or any(v < 1 for v in ls) or ls[-1] != 1:
+        raise ValueError("layer_sizes must be (inputs, hidden..., 1)")
+    return tuple(int(v) for v in ls)
+
+
 @dataclass
 class MlpModel:
     """Network parameters plus the scaling and provenance it was fit with."""
@@ -105,10 +116,7 @@ class MlpModel:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        ls = tuple(int(v) for v in self.layer_sizes)
-        if len(ls) < 2 or any(v < 1 for v in ls) or ls[-1] != 1:
-            raise ValueError("layer_sizes must be (inputs, hidden..., 1)")
-        self.layer_sizes = ls
+        self.layer_sizes = ls = _layer_sizes(self.layer_sizes)
         if len(self.weights) != len(ls) - 1 or len(self.biases) != len(ls) - 1:
             raise ValueError("one weight and bias array per layer required")
         self.weights = [_reals(f"weights[{l}]", w, (ls[l + 1], ls[l]))
@@ -134,7 +142,7 @@ def init_model(
     feature_mode: FeatureMode = FeatureMode.U_ONLY,
 ) -> MlpModel:
     """Fresh network: uniform(+-sqrt(6/(fan_in+fan_out))) weights, zero biases."""
-    ls = tuple(int(v) for v in layer_sizes)
+    ls = _layer_sizes(layer_sizes)
     rng = np.random.default_rng((seed, _STREAM_INIT))
     weights, biases = [], []
     for fan_in, fan_out in zip(ls[:-1], ls[1:]):

@@ -226,6 +226,9 @@ class TestDataPipelineCommands:
              "input_scale: expected real numbers, got str"),
             (json.dumps({**full, "output_shift": math.nan}),
              "output_shift: expected finite numbers"),
+            (json.dumps({**full, "layer_sizes": ["3", 6, 1]}), "layer_sizes: expected integers, got str"),
+            (json.dumps({**full, "layer_sizes": [3, 6.7, 1]}), "layer_sizes: expected integers, got float"),
+            (json.dumps({**full, "layer_sizes": [3, 6, True]}), "layer_sizes: expected integers, got bool"),
         )
         for text, names in cases:
             bad.write_text(text)
@@ -250,6 +253,17 @@ class TestDataPipelineCommands:
             assert main(["train", "--dataset", str(bad), "--out", str(tmp_path / "o")]) == 2
             err = capsys.readouterr().err
             assert str(bad) in err and f"column {column!r}" in err and "Traceback" not in err
+
+    def test_split_labels_rows_by_position_and_refuses_repeated_ids(self, tmp_path, capsys):
+        header = "scenario_id,u_1,u_2,u_3,tau_star,cost_rate_star,split\n"
+        bad = tmp_path / "dataset.csv"
+        bad.write_text(header + "".join(f"{100 + k},1,2,3,4,20,\n" for k in range(12)))
+        assert main(["split", "--dataset", str(bad)]) == 0
+        assert "(8 train / 4 test)" in capsys.readouterr().out  # round(12 * 0.7)
+        bad.write_text(header + "5,1,2,3,4,20,\n5,1,2,3,4,20,\n")
+        assert main(["split", "--dataset", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "column 'scenario_id' holds 5 more than once" in err
 
     def test_simulate_refuses_a_model_trained_for_other_costs(
         self, trained_dir, tmp_path, capsys

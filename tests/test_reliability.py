@@ -21,6 +21,7 @@ from gammashock.optimize import DEFAULT_BOUNDS, two_regime_state_sampler
 from gammashock.reliability import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
+    _bands,
     _column_blocks,
     _column_levels,
     _damage_stack,
@@ -28,8 +29,10 @@ from gammashock.reliability import (
     _leggauss,
     _poisson_pmf_grid,
     _reliability_grid,
+    _row_tiers,
     _soft_survival_grid,
     _window_gauss,
+    _windows,
     component_reliability,
     soft_survival_given_m,
     system_reliability,
@@ -51,6 +54,12 @@ def brute_truncation(mu: float, eps: float) -> int:
 
 T_GRID = np.linspace(0.0, 16.0, 9)
 SIGMAS = 8.0  # half-width of a damage window, in damage sd
+
+
+def _full_windows(c, u, max_m, q=DEFAULT_QUADRATURE):
+    """The nodes of each window below the headroom at full node counts, in order of m."""
+    ys, _, bounds, _ = _windows(c, q, bytes(max_m + 1))
+    return np.split(ys, bounds[1:])[:_damage_stack(c, u, max_m, q)[0]]
 
 
 class TestTruncationLevel:
@@ -308,6 +317,22 @@ class TestSystemReliability:
                 assert abs(r[j] - component_reliability(c, s.shock_rate, float(t), ui)) <= 1e-14
 
     @pytest.mark.parametrize("topology", list(Topology))
+    def test_vector_time_matches_scalar_across_band_edges(self, system, topology):
+        # a time's damage nodes follow the decade band of its own Poisson
+        # mean, so times just below, at and just above every band edge from
+        # 1e-3 to 10, in one call, keep their scalar values
+        s = replace(system, topology=topology, shock_rate=0.1)
+        edges = 10.0 ** np.arange(-3, 2) / s.shock_rate
+        t = np.concatenate(([0.0], edges * (1.0 - 1e-12), edges, edges * (1.0 + 1e-12)))
+        assert np.array_equal(_bands(s.shock_rate * t[1:6]) + 1, _bands(s.shock_rate * t[11:]))
+        for u in ([0.0, 0.0, 0.0], [2.0, 5.0, 1.0]):
+            vec, comps = _reliability_grid(s, t, np.asarray(u), DEFAULT_QUADRATURE)
+            for j, tj in enumerate(t):
+                assert abs(vec[j] - system_reliability(s, float(tj), u)) <= 1e-14
+                for c, ui, r in zip(s.components, u, comps):
+                    assert abs(r[j] - component_reliability(c, s.shock_rate, float(tj), ui)) <= 1e-14
+
+    @pytest.mark.parametrize("topology", list(Topology))
     def test_shared_grid_matches_the_public_calls(self, system, topology):
         s = replace(system, topology=topology, shock_rate=0.1)
         u = np.asarray([2.0, 5.0, 1.0])
@@ -449,14 +474,14 @@ class TestQuadratureBudget:
         head = c.soft_threshold - u
         x, w = roots_legendre(64)
         x, w = (np.arange(64)[:, None] + 0.5 * (x + 1.0)).ravel() / 64, np.tile(w, 64) / 128
-        ys, _, ends, _, _ = _damage_stack(c, u, 20, q)
+        windows = _full_windows(c, u, 20)
         interior = 0
-        for m in range(1, len(ends)):
+        for m in range(1, len(windows)):
             mean, sd = m * c.shock_damage_mean, math.sqrt(m) * c.shock_damage_sd
             lo, hi = mean - SIGMAS * sd, mean + SIGMAS * sd
             if not 0.0 < lo < hi < head:
                 continue
-            nodes = ys[ends[m - 1]:ends[m]]
+            nodes = windows[m]
             assert nodes.size == 3 * q.node_count // 8
             assert lo < nodes.min() and nodes.max() < hi
             y = lo + (hi - lo) * x
@@ -532,8 +557,7 @@ class TestQuadratureBudget:
                 hi = mean + SIGMAS * sd
                 if not mean - SIGMAS * sd <= 0.0 < hi < head:
                     break
-                ends = _damage_stack(c, u, m, q)[2]
-                assert ends[m] - ends[m - 1] == q.node_count // 2
+                assert _full_windows(c, u, m)[m].size == q.node_count // 2
                 y = hi * x
                 dens = np.exp(-0.5 * ((y - mean) / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
                 expect = hi * (w * dens) @ gamma_cdf(head - y[:, None], a * t, b)
@@ -566,29 +590,32 @@ class TestQuadratureBudget:
         # nodes of the rule for the law on [0, 7.5], all inside that span
         c = make_component(shock_damage_mean=-0.5, shock_damage_sd=1.0)
         q = DEFAULT_QUADRATURE
-        ys, _, ends, _, _ = _damage_stack(c, u, 1, q)
-        segment = ys[ends[0]:ends[1]]
+        segment = _full_windows(c, u, 1, q)[1]
         assert segment.size == q.node_count // 2
         assert 0.0 <= segment.min() and segment.max() <= 7.5
 
     @pytest.mark.parametrize("index, first, shared", [(0, 6, 13), (2, 11, 2)])
     def test_windows_reaching_the_headroom_share_one_graded_set(self, system, index, first, shared):
         # at u = 0 with 25 shock counts, the counts from the first window
-        # that reaches H on weight one set of node_count graded nodes, which
-        # ends the stack; each window before it keeps its own segment
+        # that reaches H on weight one set of node_count graded nodes; each
+        # window before it keeps its own segment
         c, q = system.components[index], DEFAULT_QUADRATURE
-        ys, weights, ends, graded, at_zero = _damage_stack(c, 0.0, 25, q)
-        assert len(ends) == first and graded.shape == (shared, q.node_count)
-        assert ys.size == ends[-1] + q.node_count == weights.size + q.node_count
+        flat, nodes, graded, at_zero, _ = _damage_stack(c, 0.0, 25, q)
+        assert flat == len(_full_windows(c, 0.0, 25)) == first
+        assert graded.shape == (shared, q.node_count) and nodes.size == q.node_count
         assert at_zero.size == first + shared
-        assert np.all(ys[ends[-1]:] <= c.soft_threshold) and np.all(graded >= 0.0)
+        assert np.all(nodes >= 0.0) and np.all(graded >= 0.0)
 
     def test_a_caller_writing_to_a_stack_changes_no_later_value(self, system):
-        # each call builds its own stack: a stack shared through a cache let
-        # one caller's write turn this S_3 from 0.98757 to 0
+        # each call builds its own stack, and the windows it shares through a
+        # cache are read-only: a writable shared stack let one caller's write
+        # turn this S_3 from 0.98757 to 0
         c, q = system.components[0], DEFAULT_QUADRATURE
         before = soft_survival_given_m(c, 2.0, 1.0, 3, q)
-        _damage_stack(c, 1.0, 3, q)[1][:] = 0.0
+        _damage_stack(c, 1.0, 3, q)[3][:] = 0.0
+        for arr in _windows(c, q, bytes(4)):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[:] = 0
         assert soft_survival_given_m(c, 2.0, 1.0, 3, q) == before > 0.98
 
     def test_a_caller_cannot_write_to_a_cached_rule(self, system):
@@ -678,12 +705,15 @@ def _assert_skips_are_negligible_suffixes(s, t, u):
     for c, ui in zip(s.components, u):
         skipped = _skipped_times(c, t, ui, top, blocks)
         assert np.all(skipped[np.argmax(skipped):]) or not skipped.any()
-        ys, weights, ends, graded, _ = _damage_stack(c, ui, top, DEFAULT_QUADRATURE)
-        g = gamma_cdf(c.soft_threshold - ui - ys, c.gamma_shape_rate * t[skipped][:, None], c.gamma_rate)
-        if skipped.any():
-            flat = np.add.reduceat(g[:, :ends[-1]] * weights, [0, *ends[:-1]], axis=1)
-            assert np.all(flat < 2.0 ** -60)
-            assert not graded.size or np.all(g[:, ends[-1]:] @ graded.T < 2.0 ** -60)
+        n_flat, shared, graded, _, _ = _damage_stack(c, ui, top, DEFAULT_QUADRATURE)
+        for cols, rows, tiers in blocks:  # each skipped time at its own block's nodes
+            shape = c.gamma_shape_rate * t[cols[skipped[cols]], None]
+            flat = min(rows, n_flat)
+            ys, weights, bounds, _ = _windows(c, DEFAULT_QUADRATURE, tiers.tobytes())
+            g = gamma_cdf(c.soft_threshold - ui - ys[:bounds[flat]], shape, c.gamma_rate)
+            assert np.all(np.add.reduceat(g * weights[:bounds[flat]], bounds[:flat], axis=1) < 2.0 ** -60)
+            rest = graded[:rows - flat]
+            assert not rest.size or np.all(gamma_cdf(shared, shape, c.gamma_rate) @ rest.T < 2.0 ** -60)
         skipped_count += int(skipped.sum())
     return skipped_count
 
@@ -717,6 +747,41 @@ class TestDeadColumns:
         t = np.concatenate(([0.0, 0.05], np.geomspace(*DEFAULT_BOUNDS, 100)))
         assert _assert_skips_are_negligible_suffixes(s, t, [0.0, 0.0, 0.0]) >= 5
 
+    @settings(max_examples=30)
+    @given(rate=st.floats(1e-4, 2.0), ts=st.lists(st.floats(0.0, 50.0), max_size=80))
+    def test_every_time_takes_its_own_bands_tiers(self, rate, ts):
+        # blocks are cut where the tiers of the bands they join differ on
+        # the rows both use, so no time's nodes depend on the other times
+        t = np.asarray(ts, dtype=float)
+        eps = DEFAULT_QUADRATURE.tail_epsilon
+        levels = _column_levels(rate * t, eps, truncation_level(rate, t.max(initial=0.0), eps))
+        bands = _bands(rate * t)
+        blocks = _column_blocks(t, levels, bands)
+        cols = np.concatenate([np.empty(0, int), *(cols for cols, _, _ in blocks)])
+        assert np.array_equal(np.sort(cols), np.flatnonzero(t > 0))
+        for cols, rows, tiers in blocks:
+            assert rows == tiers.size == levels[cols].max() + 1
+            for j in cols:
+                assert np.array_equal(tiers[:levels[j] + 1], _row_tiers(bands[j], levels[j] + 1))
+
+    def test_row_tiers_follow_the_largest_pmf_over_the_band(self):
+        # pmf(m; clip(m, 10^b, 10^(b + 1))) above 0.1 keeps every node of a
+        # window, above 1e-3 half of them and below that a quarter
+        assert _row_tiers(-1, 8).tolist() == [0, 0, 0, 1, 1, 1, 2, 2]
+        assert _row_tiers(-4, 3).tolist() == [0, 2, 2]
+        assert _row_tiers(1, 3).tolist() == [2, 2, 1]
+        assert _bands(np.asarray([0.0, 1e-3, 0.099, 0.1, 5.0])).tolist() == [-300, -3, -2, -1, 0]
+
+    def test_a_tier_keeps_a_share_of_a_windows_nodes(self, system):
+        # component 3's windows (damage mean 3, sd 0.1) are cut by neither 0
+        # nor H from m = 1: 12 nodes at tier 0, 6 at tier 1, 3 at tier 2, each
+        # rule holding the window's mass, 1 - 1.2e-15
+        c, q = system.components[2], DEFAULT_QUADRATURE
+        for tiers, sizes in (([0, 0, 0, 0], [1, 12, 12, 12]), ([0, 0, 1, 2], [1, 12, 6, 3])):
+            ys, weights, bounds, sums = _windows(c, q, bytes(tiers))
+            assert np.diff(bounds).tolist() == sizes
+            assert np.all(np.abs(sums - 1.0) <= 1e-14)
+
     def test_grid_plan_is_cached_read_only_and_fresh(self):
         t = np.concatenate(([0.0, 0.05], np.geomspace(*DEFAULT_BOUNDS, 100)))
         eps = DEFAULT_QUADRATURE.tail_epsilon
@@ -726,10 +791,11 @@ class TestDeadColumns:
             assert _grid_plan(rate, t.copy().tobytes(), eps, top)[0] is pmf
             levels = _column_levels(rate * t, eps, top)
             assert np.array_equal(pmf, _poisson_pmf_grid(rate, t, levels))
-            fresh = _column_blocks(t, levels)
-            assert [rows for _, rows in blocks] == [rows for _, rows in fresh]
-            assert all(np.array_equal(a, b) for (a, _), (b, _) in zip(blocks, fresh))
-            for arr in (pmf, *(cols for cols, _ in blocks)):
+            fresh = _column_blocks(t, levels, _bands(rate * t))
+            assert len(blocks) == len(fresh)
+            for (cols, rows, tiers), (cols1, rows1, tiers1) in zip(blocks, fresh):
+                assert rows == rows1 and np.array_equal(cols, cols1) and np.array_equal(tiers, tiers1)
+            for arr in (pmf, *(a for cols, _, tiers in blocks for a in (cols, tiers))):
                 with pytest.raises(ValueError):
                     arr[...] = 0
 

@@ -140,6 +140,10 @@ class TestInitModel:
             init_model((3, 4, 2), seed=0)  # output layer must be width 1
         with pytest.raises(ValueError):
             init_model((0, 4, 1), seed=0)
+        for sizes, kind in (((3, 4.0, 1), "float"), ((3, True, 1), "bool"), (("3", 4, 1), "str")):
+            with pytest.raises(ValueError, match=f"layer_sizes: expected integers, got {kind}"):
+                init_model(sizes, seed=0)
+        assert init_model((np.int64(3), 4, 1), seed=0).layer_sizes == (3, 4, 1)
 
     def test_model_rejects_inconsistent_arrays(self):
         m = init_model((2, 3, 1), seed=0)
