@@ -133,6 +133,9 @@ def cmd_optimize(cfg: ExperimentConfig, args) -> int:
 
 
 def _generate(cfg: ExperimentConfig) -> Dataset:
+    # one untimed solve of new parts first, so the rows' solve times leave
+    # out the process's one-off start-up (lazy imports, rule caches)
+    _solve(cfg, None)
     sampler = state_sampler(cfg.dataset, cfg.system)
     return generate_dataset(
         cfg.system,

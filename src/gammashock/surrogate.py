@@ -3,17 +3,20 @@
 A small sigmoid-hidden, linear-output network is trained on solved
 scenarios so that planning amounts to one forward pass instead of a
 full cost-rate minimization.  Everything here is written out
-explicitly: initialization, a one-row forward pass for predictions, and
-a forward pass and backpropagation over a batch of rows (a per-sample
-SGD step is one row, a full-batch GD step is every training row).  fit
-keeps the weights and biases as views of one flat vector and has
-backpropagation write the gradients in that layout, so a step is one
-in-place update.  Every pass uses one sigmoid, scipy.special.expit.
+explicitly: initialization, a forward pass and backpropagation over a
+batch of rows (a per-sample SGD step is one row, a full-batch GD step
+is every training row, forward is the batch pass on one row), and the
+folded one-row pass that predict_next_inspection takes.  fit keeps the
+weights and biases as views of one flat vector and has backpropagation
+write the gradients in that layout, so a step is one in-place update.
+Every pass uses one sigmoid, scipy.special.expit.
 
 Weights W[l] have shape (fan_out, fan_in), so a layer maps rows A to
 expit(A @ W.T + b).  Features are standardized by the stored input
 scaler and targets by the output scaler; both are fit on the training
-split and serialized with the model.
+split and serialized with the model.  For predictions, _fold writes
+u / H and the input scaler into the first layer and the output scaler
+into the last, once per model and system object.
 """
 from __future__ import annotations
 
@@ -135,6 +138,14 @@ class MlpModel:
         if np.any(self.input_scale == 0) or self.output_scale == 0:
             raise ValueError("scalers must have nonzero scale")
 
+    # not a field, so model.json never carries it: (system, hidden layers,
+    # output weights, output bias), set by _fold
+    _folded = None
+
+    def __setattr__(self, name, value):
+        self.__dict__.pop("_folded", None)  # assigning any field drops the folded layers
+        super().__setattr__(name, value)
+
 
 def init_model(
     layer_sizes,
@@ -173,22 +184,12 @@ def _scaled(m: MlpModel, features) -> np.ndarray:
 
 
 def forward(m: MlpModel, features) -> float:
-    """Network prediction in target units for one feature vector, within
-    rounding of predict_batch.
-
-    Each prediction of a plan is one row, so this fused vector loop stays
-    beside the batch pass: on the default 3-16-16-1 network it takes about
-    5 us against about 10 us for predict_batch on a one-row matrix
-    (timeit, best of 5, one core of a 2-vCPU x86 VM).
-    """
+    """Network prediction in target units for one feature vector: the
+    batch pass on a one-row matrix, so it equals predict_batch's row."""
     a = np.asarray(features, dtype=float)
     if a.shape != (m.layer_sizes[0],):
         raise ValueError(f"expected {m.layer_sizes[0]} features, got {a.shape}")
-    a = _scaled(m, a)
-    for w, b in zip(m.weights[:-1], m.biases[:-1]):
-        a = expit(w.dot(a) + b)
-    out = m.weights[-1][0].dot(a) + m.biases[-1][0]  # linear output
-    return float(out) * m.output_scale + m.output_shift
+    return float(predict_batch(m, a[None])[0])
 
 
 def _predict_scaled(m: MlpModel, xs: np.ndarray) -> np.ndarray:
@@ -355,14 +356,54 @@ def train(
     return trained, history
 
 
-def predict_next_inspection(m: MlpModel, s: SystemModel, u) -> float:
-    """Surrogate recommendation, clamped to the solver's search bounds."""
+def _frozen(a) -> np.ndarray:
+    a = np.array(a, dtype=float)  # a copy, so no other reference can write to it
+    a.flags.writeable = False
+    return a
+
+
+def _fold(m: MlpModel, s: SystemModel):
+    """m's layers for raw levels u of system s, cached on m.
+
+    The first layer takes u / H and the input scaler, W' = W / (scale H)
+    and b' = b - W (shift / scale); the output layer takes the output
+    scaler, w' = scale w and b' = scale b + shift.  The model's arrays
+    become read-only copies and its layer lists tuples, so an in-place
+    write raises instead of leaving the fold stale; assigning any field
+    drops the fold.
+    """
     if m.system_fingerprint and m.system_fingerprint != system_fingerprint(s):
         raise ValueError("model was trained for a different system")
-    tau = forward(m, as_levels(u, s.n) / _thresholds(s))
+    weights, biases = tuple(map(_frozen, m.weights)), tuple(map(_frozen, m.biases))
+    shift, scale = _frozen(m.input_shift), _frozen(m.input_scale)
+    if weights[0].shape[1] != s.n:
+        raise ValueError(f"model takes {weights[0].shape[1]} inputs, system has {s.n} components")
+    layers = list(zip(weights, biases))
+    w, b = layers[0]
+    layers[0] = w / (scale * _thresholds(s)), b - w.dot(shift / scale)
+    w, b = layers[-1]
+    fold = (s, tuple(layers[:-1]), w[0] * m.output_scale, b[0] * m.output_scale + m.output_shift)
+    m.__dict__.update(weights=weights, biases=biases, input_shift=shift, input_scale=scale,
+                      _folded=fold)
+    return fold
+
+
+def predict_next_inspection(m: MlpModel, s: SystemModel, u) -> float:
+    """Surrogate recommendation, clamped to the solver's search bounds.
+
+    The system check and the fold run only when s is not the system
+    object the model last predicted for.
+    """
+    fold = m._folded
+    if fold is None or fold[0] is not s:
+        fold = _fold(m, s)
+    a = as_levels(u, s.n)
+    for w, b in fold[1]:
+        a = expit(w.dot(a) + b)
+    tau = float(fold[2].dot(a) + fold[3])  # linear output
     if m.clamp_bounds is not None:
         tau = min(max(tau, m.clamp_bounds[0]), m.clamp_bounds[1])
-    return float(tau)
+    return tau
 
 
 def save_model(m: MlpModel, path) -> None:

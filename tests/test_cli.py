@@ -3,15 +3,19 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gammashock
+from gammashock import cli, optimize
 from gammashock.cli import main
+from gammashock.core import as_levels
 from gammashock.config import config_to_dict, default_config
 from gammashock.optimize import dataset_from_csv, system_fingerprint
 from gammashock.surrogate import load_model
@@ -334,6 +338,26 @@ class TestDataPipelineCommands:
         a = (out1 / "dataset.csv").read_bytes()
         b = (out2 / "dataset.csv").read_bytes()
         assert a != b
+
+    def test_the_first_solve_of_the_process_is_not_timed(self, tmp_path, monkeypatch, capsys):
+        # the first solve stands in for a fresh process's start-up by taking
+        # 0.5 s longer: gen-data makes it on new parts and times only the rest
+        solve, calls = optimize.optimal_inspection_time, []
+
+        def recorded(s, costs, u, *args):
+            calls.append(as_levels(u, s.n))
+            if len(calls) == 1:
+                time.sleep(0.5)
+            return solve(s, costs, u, *args)
+
+        monkeypatch.setattr(cli, "optimal_inspection_time", recorded)
+        monkeypatch.setattr(optimize, "optimal_inspection_time", recorded)
+        cfg = small_run_config(tmp_path, dataset__n_scenarios=4)
+        assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 4 + 1
+        assert np.array_equal(calls[0], np.zeros(3))
+        mean_ms = float(re.search(r"mean solve ([0-9.]+) ms", capsys.readouterr().out)[1])
+        assert mean_ms < 500.0 / 4
 
 
 class TestPipelineCommand:

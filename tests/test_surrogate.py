@@ -3,7 +3,7 @@ import copy
 import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -539,7 +539,8 @@ class TestPredictNextInspection:
             w[:] = 0.0
         model.biases[-1][:] = [-1e6]
         assert predict_next_inspection(model, system, None) == 0.1
-        model.biases[-1][:] = [1e6]
+        # a prediction leaves the arrays read-only, so the new bias is assigned
+        model.biases = [*model.biases[:-1], np.asarray([1e6])]
         assert predict_next_inspection(model, system, None) == 50.0
 
     def test_rejects_a_different_system(self, system):
@@ -592,6 +593,72 @@ class TestPredictNextInspection:
         m.biases[-1][:] = [123.0]
         assert predict_next_inspection(m, system, None) == 123.0
 
+    @staticmethod
+    def _assert_predicts_the_batch_path(m, system, u):
+        h = np.asarray([c.soft_threshold for c in system.components])
+        want = predict_batch(m, u / h)
+        if m.clamp_bounds is not None:
+            want = np.clip(want, *m.clamp_bounds)
+        got = np.asarray([predict_next_inspection(m, system, row) for row in u])
+        assert np.all(np.abs(got / want - 1.0) <= 1e-12)
+        return got
+
+    @pytest.mark.parametrize("edit", [
+        lambda m, ds, s: setattr(m, "input_shift", m.input_shift + 0.3),
+        lambda m, ds, s: setattr(m, "output_scale", 2.0 * m.output_scale),
+        lambda m, ds, s: setattr(m, "clamp_bounds", (19.0, 21.0)),
+        lambda m, ds, s: setattr(m, "weights", [1.5 * w for w in m.weights]),
+        lambda m, ds, s: fit(m, [row.u for row in ds.rows("train")],
+                             [row.tau_star for row in ds.rows("train")], epochs=3)[0],
+        lambda m, ds, s: train(m, ds, s, epochs=3)[0],
+    ], ids=["input_shift", "output_scale", "clamp_bounds", "weights", "fit", "train"])
+    def test_a_prediction_after_an_edit_follows_the_edit(self, system, edit):
+        m = random_model(np.random.default_rng(8), (3, 16, 16, 1))
+        m.output_shift = 20.0  # away from 0, so that a relative gap means something
+        m.system_fingerprint = system_fingerprint(system)
+        u = np.random.default_rng(9).uniform(0.0, 16.0, (12, 3))
+        before = self._assert_predicts_the_batch_path(m, system, u)
+        edited = edit(m, labeled_dataset(system), system) or m
+        assert not np.array_equal(self._assert_predicts_the_batch_path(edited, system, u), before)
+        if edited is not m:  # fit and train leave their input as it was
+            assert np.array_equal(self._assert_predicts_the_batch_path(m, system, u), before)
+
+    @pytest.mark.parametrize("field", ["weights", "biases"])
+    def test_a_prediction_leaves_the_arrays_read_only(self, system, field):
+        m = random_model(np.random.default_rng(8), (3, 16, 16, 1))
+        first = predict_next_inspection(m, system, None)
+        for a in getattr(m, field):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] += 1.0
+        with pytest.raises(TypeError):
+            getattr(m, field)[0] = np.zeros_like(getattr(m, field)[0])
+        assert predict_next_inspection(m, system, None) == first
+
+    def test_an_equal_system_object_is_accepted(self, system):
+        ds = labeled_dataset(system)
+        model, _ = train(init_model((3, 4, 1), seed=2), ds, system, epochs=5)
+        u = [4.0, 6.0, 7.0]
+        first = predict_next_inspection(model, system, u)
+        twin = replace(system)
+        assert twin == system and twin is not system
+        assert predict_next_inspection(model, twin, u) == first
+        assert predict_next_inspection(model, system, u) == first
+
+    def test_an_unstamped_model_takes_each_systems_thresholds(self, system):
+        m = random_model(np.random.default_rng(10), (3, 16, 16, 1))
+        m.output_shift = 20.0
+        c = system.components[0]
+        wider = replace(system, components=(replace(c, soft_threshold=2.0 * c.soft_threshold),)
+                        + system.components[1:])
+        u = np.random.default_rng(11).uniform(0.0, 16.0, (6, 3))
+        for s in (system, wider, system, wider):
+            self._assert_predicts_the_batch_path(m, s, u)
+        assert predict_next_inspection(m, wider, u[0]) != predict_next_inspection(m, system, u[0])
+
+    def test_an_unstamped_model_of_another_width_is_refused(self, system):
+        with pytest.raises(ValueError, match="model takes 2 inputs, system has 3 components"):
+            predict_next_inspection(init_model((2, 4, 1), seed=2), system, None)
+
 
 class TestPersistence:
     def test_round_trip_is_bit_exact(self, system, tmp_path):
@@ -616,6 +683,20 @@ class TestPersistence:
         again = tmp_path / "again.json"
         save_model(back, again)
         assert again.read_bytes() == path.read_bytes()
+
+    def test_a_model_that_predicted_round_trips_bit_identically(self, system, tmp_path):
+        ds = labeled_dataset(system)
+        model, _ = train(init_model((3, 4, 1), seed=2), ds, system, epochs=10)
+        fresh, path = tmp_path / "fresh.json", tmp_path / "model.json"
+        save_model(model, fresh)
+        states = [row.u for row in ds.scenarios]
+        preds = [predict_next_inspection(model, system, u) for u in states]
+        save_model(model, path)
+        assert path.read_bytes() == fresh.read_bytes()
+        keys = {"format_version", *(f.name for f in fields(MlpModel))}
+        assert set(json.loads(path.read_text())) == keys
+        back = load_model(path)
+        assert [predict_next_inspection(back, system, u) for u in states] == preds
 
     def test_save_is_byte_stable(self, system, tmp_path):
         ds = labeled_dataset(system)
